@@ -107,17 +107,9 @@ class CheckResult:
         return self.ok
 
 
-def _ball_center_counts(code: Code, r: int = 1) -> dict:
-    counts: dict = {}
-    for t in code.words:
-        for c in ball(t, r):
-            counts[c.key] = counts.get(c.key, 0) + 1
-    return counts
-
-
 def is_unitrade(t_set: Code) -> CheckResult:
     """|B intersect T| in {0, 2} for every radius-1 ball B of H(n, q)."""
-    counts = _ball_center_counts(t_set)
+    counts = _coverage_counts_union(t_set, 1)
     bad = [k for k, v in counts.items() if v != 2]
     if bad:
         return CheckResult(False, Word(t_set.space, min(bad)))

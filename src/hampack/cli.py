@@ -47,10 +47,6 @@ def _emit_code(code: Code, out: Optional[str]) -> None:
             write_code(code, fh)
 
 
-def _frac_str(x) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -130,8 +126,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if len(code):
         data = analysis.distance_data(code)
         payload["distributions"] = {
-            "B": [_frac_str(b) for b in data.B],
-            "B_dual": [_frac_str(b) for b in data.B_dual] if data.B_dual else None,
+            "B": [str(b) for b in data.B],
+            "B_dual": [str(b) for b in data.B_dual] if data.B_dual else None,
             "dual_nonnegative": data.dual_nonnegative() if data.B_dual else None,
         }
     else:

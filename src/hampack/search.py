@@ -62,13 +62,70 @@ _MIN_N, _MAX_N = 4, 12
 # canonical forms and equivalence
 # ---------------------------------------------------------------------------
 
-def _canonical_keys(keys: Sequence[int], n: int) -> tuple[int, ...]:
-    """Exact lex-min of the sorted key list over translations x permutations."""
+def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
+    """Exact lex-min of the sorted key list over translations x permutations,
+    and the number of translates whose tree was searched.
+
+    A leaf is a translate plus ordered column blocks on which every word
+    is constant.  Two leaves that reach the incumbent form give an
+    automorphism of the set (McKay, "Practical graph isomorphism", 1981);
+    its orbits are folded into a union-find over the set.  Translates in
+    one orbit of the automorphism group give the same candidate forms, so
+    a translate whose orbit holds a searched one is skipped exactly, and
+    a tree is left as soon as its own translate joins such an orbit.
+    """
     if not keys:
-        return ()
+        return (), 0
     key_set = set(keys)
     full = (1 << n) - 1
     best: Optional[list[int]] = None
+    best_columns: list[int] = []
+    best_t = t = 0  # t: the translate whose tree is being searched
+    parent = {k: k for k in key_set}
+    searched_roots: set[int] = set()  # orbits holding a fully searched translate
+    orbits = len(key_set)
+    stop = False
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def columns(blocks: tuple[int, ...]) -> list[int]:
+        """Column bit positions in output order, most significant first."""
+        return [b for mask in blocks for b in range(n - 1, -1, -1) if mask >> b & 1]
+
+    def leaf(blocks: tuple[int, ...], cand: list[int]) -> None:
+        """Take a better leaf as incumbent, or fold the automorphism that
+        maps a tied leaf onto the incumbent into the orbits."""
+        nonlocal best, best_columns, best_t, orbits, stop
+        if best is None or cand < best:
+            best, best_columns, best_t = cand, columns(blocks), t
+            return
+        if cand != best or orbits == 1:  # one orbit: nothing left to skip
+            return
+        bit_img = [0] * n
+        for c, d in zip(columns(blocks), best_columns):
+            bit_img[c] = 1 << d
+        image = []
+        for x in key_set:
+            y, z = x ^ t, best_t
+            while y:
+                low = y & -y
+                z ^= bit_img[low.bit_length() - 1]
+                y ^= low
+            image.append((x, z))
+        if {z for _, z in image} != key_set:
+            raise AssertionError("tied leaves do not give an automorphism of the set")
+        for x, z in image:
+            rx, rz = find(x), find(z)
+            if rx != rz:
+                parent[rz] = rx
+                orbits -= 1
+                if rz in searched_roots:
+                    searched_roots.add(rx)
+        # the rest of this tree gives the forms of a searched translate
+        stop = find(t) in searched_roots
 
     def val_and_refinement(word: int, blocks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Smallest value of the word consistent with the ordered blocks,
@@ -86,18 +143,14 @@ def _canonical_keys(keys: Sequence[int], n: int) -> tuple[int, ...]:
         return v, tuple(refined)
 
     def dfs(blocks: tuple[int, ...], remaining: frozenset[int], emitted: list[int]) -> None:
-        nonlocal best
-        if best is not None and emitted > best[: len(emitted)]:
+        if stop or best is not None and emitted > best[: len(emitted)]:
             return
         if not remaining:
-            if best is None or emitted < best:
-                best = list(emitted)
+            leaf(blocks, list(emitted))
             return
         if all(m.bit_count() == 1 for m in blocks):
             # permutation fully determined: finish in one step
-            cand = emitted + sorted(val_and_refinement(w, blocks)[0] for w in remaining)
-            if best is None or cand < best:
-                best = cand
+            leaf(blocks, emitted + sorted(val_and_refinement(w, blocks)[0] for w in remaining))
             return
         lo: Optional[int] = None
         options: list[tuple[int, tuple[int, ...]]] = []
@@ -118,11 +171,21 @@ def _canonical_keys(keys: Sequence[int], n: int) -> tuple[int, ...]:
     translates = sorted(
         (sorted((k ^ t).bit_count() for k in key_set), t) for t in key_set
     )
+    searched = 0
     for _, t in translates:
-        shifted = frozenset(k ^ t for k in key_set) - {0}
-        dfs((full,), shifted, [0])
+        if find(t) in searched_roots:
+            continue
+        searched += 1
+        stop = False
+        dfs((full,), frozenset(k ^ t for k in key_set) - {0}, [0])
+        searched_roots.add(find(t))
     assert best is not None
-    return tuple(best)
+    return tuple(best), searched
+
+
+def _canonical_keys(keys: Sequence[int], n: int) -> tuple[int, ...]:
+    """Exact lex-min of the sorted key list over translations x permutations."""
+    return _canonical_search(keys, n)[0]
 
 
 @lru_cache(maxsize=256)
@@ -679,7 +742,7 @@ def min_extended_unitrade_size(n: int) -> int:
 def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
     """Exact maximum size of a lambda-fold r-packing in H(n, q).
 
-    Branch and bound over vertices in lexicographic order; repeated
+    Depth-first search over vertices in lexicographic order; repeated
     codewords are modeled by allowing a vertex to be taken again, so the
     answer is the true multiset maximum.  Certification is by meeting a
     proven upper bound or exhausting the tree.
@@ -696,27 +759,30 @@ def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)
 
+    # An explicit stack of the chosen vertices, nondecreasing: a child's
+    # loop starts at its parent's vertex (repeats allowed), and the search
+    # stops once the cap is met.  The cap is at most the sphere-packing
+    # bound, so no further per-node bound can prune.
     cov = [0] * size
+    chosen: list[int] = []
     best = 0
-
-    def dfs(start: int, current: int, slack: int) -> None:
-        nonlocal best
-        if current > best:
-            best = current
-        if best >= cap or current + slack // ball_size <= best:
-            return
-        for v in range(start, size):
-            if any(cov[u] >= lam for u in balls[v]):
-                continue
+    v = 0
+    while best < cap:
+        while v < size and any(cov[u] >= lam for u in balls[v]):
+            v += 1
+        if v < size:
             for u in balls[v]:
                 cov[u] += 1
-            dfs(v, current + 1, slack - ball_size)
-            for u in balls[v]:
-                cov[u] -= 1
-            if best >= cap:
-                return
-
-    dfs(0, 0, lam * size)
+            chosen.append(v)
+            if len(chosen) > best:
+                best = len(chosen)
+            continue
+        if not chosen:
+            break
+        v = chosen.pop()
+        for u in balls[v]:
+            cov[u] -= 1
+        v += 1
     return best
 
 

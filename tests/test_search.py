@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -11,6 +12,7 @@ from hampack.bounds import lp_bound, sphere_packing_bound
 from hampack.core import Code, Space, Word
 from hampack.search import (
     SearchConfig,
+    _canonical_search,
     are_equivalent,
     canonical_form,
     classify_extended_unitrades,
@@ -37,17 +39,61 @@ def random_isometry(rng, code: Code) -> Code:
     return Code.from_bits(code.space, keys)
 
 
+def brute_force_form(keys: list[int], n: int) -> list[int]:
+    """Lex-min sorted image over all n! * 2^n isometries of H(n, 2)."""
+    best = None
+    for perm in permutations(range(n)):
+        bit_img = [1 << perm[b] for b in range(n)]
+        table = [0] * (1 << n)
+        for key in range(1, 1 << n):
+            low = key & -key
+            table[key] = table[key ^ low] | bit_img[low.bit_length() - 1]
+        for shift in range(1 << n):
+            image = sorted(table[k] ^ shift for k in keys)
+            if best is None or image < best:
+                best = image
+    return best
+
+
+def span(gens: list[int]) -> set[int]:
+    out = {0}
+    for g in gens:
+        out |= {x ^ g for x in out}
+    return out
+
+
+def oracle_sets() -> list[tuple[list[int], int]]:
+    """Seeded random sets (mostly a trivial group) and highly symmetric
+    ones (linear spans, coset unions, unitrades): pruning by automorphisms
+    acts only on the latter."""
+    rng = random.Random(47)
+    sets = []
+    for n in (3, 4, 5):
+        for _ in range(40):
+            sets.append((rng.sample(range(1 << n), rng.randrange(1, 1 << (n - 1))), n))
+        for _ in range(20):
+            lin = span([rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, n - 1))])
+            sets.append((sorted(lin), n))
+            shifts = rng.sample(range(1 << n), rng.randrange(2, 4))
+            sets.append((sorted({x ^ s for x in lin for s in shifts}), n))
+    for t in (con.diagonal_unitrade(4), con.l_star(6)):
+        sets.append(([w.key for w in t.words], t.space.n))
+    return sets
+
+
 class TestCanonicalForm:
     def test_idempotent(self):
         for t in (con.diagonal_unitrade(6), con.l_star(6), con.l_star(8)):
             c = canonical_form(t)
             assert canonical_form(c) == c
 
-    def test_invariant_under_random_isometries(self):
+    def test_invariant_under_random_isometries(self, all_pairs):
         rng = random.Random(40)
-        for t in (con.diagonal_unitrade(6), con.l_star(6)):
+        cases = [(con.diagonal_unitrade(6), 10), (con.l_star(6), 10)]
+        cases += [(t, 1) for pair in all_pairs.values() for t in pair]  # C0 and C4 cells
+        for t, images in cases:
             c = canonical_form(t)
-            for _ in range(10):
+            for _ in range(images):
                 assert canonical_form(random_isometry(rng, t)) == c
 
     def test_odd_parity_sets_translate_to_even(self):
@@ -68,6 +114,21 @@ class TestCanonicalForm:
     def test_empty(self):
         empty = Code(Space(4, 2), [])
         assert canonical_form(empty) == empty
+
+    def test_matches_brute_force_over_all_isometries(self):
+        for keys, n in oracle_sets():
+            form = canonical_form(Code.from_bits(Space(n, 2), keys))
+            assert [w.key for w in form.words] == brute_force_form(keys, n), (n, sorted(keys))
+
+    def test_translates_searched(self, pair_linear):
+        # automorphisms found in the first two translates join every word
+        # of the linear C4 cell and of its C0 code into one orbit
+        c0, c4 = pair_linear
+        for t, searched in ((c4, 2), (c0, 2)):
+            form, count = _canonical_search(sorted(w.key for w in t.words), 10)
+            assert count == searched
+            assert 8 * count <= len(t)
+            assert list(form) == [w.key for w in canonical_form(t).words]
 
 
 class TestAreEquivalent:
@@ -238,6 +299,10 @@ class TestMaxPacking:
 
     def test_radius_zero_multisets(self):
         assert max_packing_size(2, 2, 3, 0) == 12
+
+    def test_deep_search_has_no_recursion_limit(self):
+        # every vertex is taken once: a search path 2048 nodes deep
+        assert max_packing_size(11, 2, 1, 0) == 2048
 
     def test_range_guards(self):
         with pytest.raises(ValueError):
