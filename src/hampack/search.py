@@ -17,7 +17,10 @@ distance-2 neighbors are exactly the aligned pair words 1100...,
 member to zero, then permute its neighbor matching onto the aligned
 pairs), so the enumeration is complete; duplicates are removed by
 canonical forms, after a cheap orbit-minimality filter under the
-subgroup that preserves the seed.
+subgroup that preserves the seed.  Every word lies in n cliques and a
+unitrade meets each clique it touches in exactly two words, so a branch
+that has touched k cliques has no completion below ⌈2k/n⌉ words; the
+minimum-size search and capped classifications cut on this bound.
 
 Equivalence is the isometry group of H(n, 2) acting on vertex sets:
 coordinate permutations composed with translations (odd-parity sets are
@@ -32,7 +35,10 @@ realizable next word.
 branch-and-bound oracles over raw vertex sets; they certify exact
 maxima either by exhausting the tree or by meeting a proven upper bound
 (sphere-packing / LP), and they share no code with the constructions
-they are used to check.
+they are used to check.  Translations act transitively on H(n, q) and
+map balls onto balls, so every packing has a translate that contains
+the first vertex, and only packings whose least codeword is that vertex
+are searched.
 """
 
 from __future__ import annotations
@@ -254,6 +260,8 @@ class _Engine:
         self.cin = bytearray(len(odds))
         self.cund = bytearray([n]) * len(odds)
         self.in_count = 0
+        self.touched = 0  # cliques holding at least one chosen word
+        self.nodes = 0  # _search calls
         self.fronts: list[int] = []
         self.trail: list[int] = []
 
@@ -286,6 +294,8 @@ class _Engine:
             if v == 1:
                 for ci in mc:
                     cund[ci] -= 1
+                    if not cin[ci]:
+                        self.touched += 1
                     cin[ci] += 1
             else:
                 for ci in mc:
@@ -333,7 +343,7 @@ class _Engine:
         status, cin, cund = self.status, self.cin, self.cund
         trail = self.trail
         member_cliques = self.member_cliques
-        dropped_in = 0
+        dropped_in = untouched = 0
         while len(trail) > trail_len:
             i = trail.pop()
             if status[i] == 1:
@@ -341,11 +351,14 @@ class _Engine:
                 for ci in member_cliques[i]:
                     cund[ci] += 1
                     cin[ci] -= 1
+                    if not cin[ci]:
+                        untouched += 1
             else:
                 for ci in member_cliques[i]:
                     cund[ci] += 1
             status[i] = 0
         self.in_count -= dropped_in
+        self.touched -= untouched
         del self.fronts[fronts_len:]
 
     # -- branching structure ----------------------------------------------
@@ -391,9 +404,19 @@ def _search(engine: _Engine, out: list, min_tracker: Optional[list[int]] = None)
 
     Records every unitrade extending the current state into ``out``,
     or, with a tracker, only maintains the minimum cardinality seen.
+
+    A unitrade T touches each clique it meets in exactly two words, and
+    each word lies in n cliques, so |T|·n = 2·touched(T).  Touched cliques
+    stay touched along a branch, so every completion has at least
+    ⌈2·touched/n⌉ words; a branch whose bound reaches the tracked minimum
+    or exceeds the cardinality cap is cut.
     """
-    if min_tracker is not None and engine.in_count >= min_tracker[0]:
-        return
+    engine.nodes += 1
+    limit = engine.max_cardinality
+    if min_tracker is not None or limit is not None:
+        lower = -(-2 * engine.touched // engine.n)
+        if min_tracker is not None and lower >= min_tracker[0] or limit is not None and lower > limit:
+            return
     cands = engine.pick_front()
     if cands is not None:
         for mj in cands:
@@ -410,7 +433,7 @@ def _search(engine: _Engine, out: list, min_tracker: Optional[list[int]] = None)
             min_tracker[0] = engine.in_count
         if engine.in_count + 1 >= min_tracker[0]:
             return
-    if engine.max_cardinality is not None and engine.in_count >= engine.max_cardinality:
+    if limit is not None and engine.in_count >= limit:
         return
     # extensions, partitioned by the smallest newly added word
     frame = engine.mark()
@@ -426,27 +449,34 @@ def _search(engine: _Engine, out: list, min_tracker: Optional[list[int]] = None)
     engine.undo(frame)
 
 
+def _seeded_search(
+    engine: _Engine,
+    decisions: Sequence[tuple[int, int]],
+    out: list,
+    min_tracker: Optional[list[int]] = None,
+) -> bool:
+    """Apply the seed and then the decisions to a fresh engine, and search
+    below them; False, without a search, if they contradict."""
+    for idx, val in [*engine.seed_decisions(), *decisions]:
+        if not engine.assign(idx, val):
+            return False
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(100000)
+    try:
+        _search(engine, out, min_tracker)
+    finally:
+        sys.setrecursionlimit(old)
+    return True
+
+
 def _enumerate_with_seed(
     n: int,
     antipodal_only: bool = False,
     max_cardinality: Optional[int] = None,
-    decisions: Optional[Sequence[tuple[int, int]]] = None,
+    decisions: Sequence[tuple[int, int]] = (),
 ) -> list[tuple[int, ...]]:
-    engine = _Engine(n, antipodal_only, max_cardinality)
-    for idx, val in engine.seed_decisions():
-        if not engine.assign(idx, val):
-            return []
-    if decisions:
-        for idx, val in decisions:
-            if not engine.assign(idx, val):
-                return []
     out: list[tuple[int, ...]] = []
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(100000)
-    try:
-        _search(engine, out)
-    finally:
-        sys.setrecursionlimit(old)
+    _seeded_search(_Engine(n, antipodal_only, max_cardinality), decisions, out)
     return out
 
 
@@ -470,6 +500,9 @@ class SearchConfig:
             raise ValueError(f"supported lengths are even n in {_MIN_N}..{_MAX_N}")
         if self.threads < 1:
             raise ValueError("thread count must be positive")
+        card = self.max_cardinality
+        if card is not None and (type(card) is not int or card < 1):
+            raise ValueError("max_cardinality must be None or a positive int")
 
     def filter_key(self) -> dict:
         return {
@@ -725,18 +758,16 @@ def min_extended_unitrade_size(n: int) -> int:
         raise ValueError(f"supported lengths are even n in 2..{_MAX_N}")
     if n == 2:
         return 2  # both unitrades of length 2 have two words
+    return _min_unitrade_search(n)[0]
+
+
+def _min_unitrade_search(n: int) -> tuple[int, int]:
+    """Minimum unitrade cardinality at even n >= 4, and the search nodes visited."""
     engine = _Engine(n)
-    for idx, val in engine.seed_decisions():
-        if not engine.assign(idx, val):
-            raise AssertionError("the seed configuration cannot fail")
     tracker = [1 << n]
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(100000)
-    try:
-        _search(engine, [], tracker)
-    finally:
-        sys.setrecursionlimit(old)
-    return tracker[0]
+    if not _seeded_search(engine, (), [], tracker):
+        raise AssertionError("the seed configuration cannot fail")
+    return tracker[0], engine.nodes
 
 
 def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
@@ -744,9 +775,17 @@ def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
 
     Depth-first search over vertices in lexicographic order; repeated
     codewords are modeled by allowing a vertex to be taken again, so the
-    answer is the true multiset maximum.  Certification is by meeting a
-    proven upper bound or exhausting the tree.
+    answer is the true multiset maximum.  Translations of H(n, q) act
+    transitively and map balls onto balls, so every packing has a
+    translate containing the first vertex, and only the subtree whose
+    least codeword is that vertex is searched.  Certification is by
+    meeting a proven upper bound or exhausting that subtree.
     """
+    return _max_packing_search(n, q, lam, r)[0]
+
+
+def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
+    """Maximum packing size, and the number of codeword placements tried."""
     space = Space(n, q)
     size = space.size
     if size > 4096:
@@ -761,11 +800,12 @@ def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
 
     # An explicit stack of the chosen vertices, nondecreasing: a child's
     # loop starts at its parent's vertex (repeats allowed), and the search
-    # stops once the cap is met.  The cap is at most the sphere-packing
-    # bound, so no further per-node bound can prune.
+    # stops once the cap is met.  Some translate of every packing holds
+    # vertex 0, the least vertex, so the search ends when that root would
+    # be popped.
     cov = [0] * size
     chosen: list[int] = []
-    best = 0
+    best = placements = 0
     v = 0
     while best < cap:
         while v < size and any(cov[u] >= lam for u in balls[v]):
@@ -774,16 +814,17 @@ def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
             for u in balls[v]:
                 cov[u] += 1
             chosen.append(v)
+            placements += 1
             if len(chosen) > best:
                 best = len(chosen)
             continue
-        if not chosen:
+        if len(chosen) <= 1:
             break
         v = chosen.pop()
         for u in balls[v]:
             cov[u] -= 1
         v += 1
-    return best
+    return best, placements
 
 
 def max_twofold_packing_size(n: int) -> int:

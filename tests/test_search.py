@@ -12,7 +12,11 @@ from hampack.bounds import lp_bound, sphere_packing_bound
 from hampack.core import Code, Space, Word
 from hampack.search import (
     SearchConfig,
+    _Engine,
     _canonical_search,
+    _max_packing_search,
+    _min_unitrade_search,
+    _seeded_search,
     are_equivalent,
     canonical_form,
     classify_extended_unitrades,
@@ -210,6 +214,32 @@ class TestClassifySmall:
             SearchConfig(n=14)
         with pytest.raises(ValueError):
             SearchConfig(n=6, threads=0)
+        for card in (-3, 0, 2.5, True):
+            with pytest.raises(ValueError):
+                SearchConfig(n=6, max_cardinality=card)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("antipodal", [False, True])
+    def test_max_cardinality_matches_filtered_full_classification(self, n, antipodal):
+        # the touched-clique bound cuts only branches above the cap
+        full = classify_extended_unitrades(SearchConfig(n=n, antipodal_only=antipodal))
+        for cap in (8, 12, 16, 20, 24, 28):
+            capped = classify_extended_unitrades(
+                SearchConfig(n=n, antipodal_only=antipodal, max_cardinality=cap)
+            )
+            assert capped == [c for c in full if c.cardinality <= cap], (n, antipodal, cap)
+
+    def test_search_nodes_with_cardinality_cap(self):
+        # without the touched-clique bound this run visited 501 nodes
+        engine = _Engine(8, max_cardinality=16)
+        out = []
+        assert _seeded_search(engine, (), out)
+        assert {len(t) for t in out} == {16}
+        assert engine.nodes == 321 and engine.nodes < 501
+        # without a cap nothing is cut
+        engine = _Engine(8)
+        assert _seeded_search(engine, (), [])
+        assert engine.nodes == 718
 
 
 class TestThreadsAndCheckpoints:
@@ -257,8 +287,62 @@ class TestMinUnitradeSize:
         with pytest.raises(ValueError):
             min_extended_unitrade_size(5)
 
+    def test_matches_smallest_class(self):
+        for n in (4, 6, 8):
+            classes = classify_extended_unitrades(SearchConfig(n=n))
+            assert min_extended_unitrade_size(n) == min(c.cardinality for c in classes)
+
+    def test_search_nodes(self):
+        # without the touched-clique bound this search visited 649 nodes
+        size, nodes = _min_unitrade_search(8)
+        assert (size, nodes) == (16, 225) and nodes < 649
+
+
+def brute_force_max_packing(n: int, q: int, lam: int, r: int) -> int:
+    """Largest total over all multiplicity vectors in {0..lam}^(q^n) whose
+    radius-r balls each hold at most lam codewords.  Vertices are fixed in
+    order; a prefix that overfills a ball, or that cannot beat the best
+    total even with lam on every later vertex, has no better completion."""
+    words = [w.symbols for w in Space(n, q)]
+    near = [[u for u, y in enumerate(words) if sum(a != b for a, b in zip(x, y)) <= r]
+            for x in words]
+    cov = [0] * len(words)
+    best = 0
+
+    def extend(i: int, total: int) -> None:
+        nonlocal best
+        if total + lam * (len(words) - i) <= best:
+            return
+        if i == len(words):
+            best = total
+            return
+        for m in range(min(lam - cov[u] for u in near[i]), -1, -1):
+            for u in near[i]:
+                cov[u] += m
+            extend(i + 1, total + m)
+            for u in near[i]:
+                cov[u] -= m
+
+    extend(0, 0)
+    return best
+
 
 class TestMaxPacking:
+    @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)])
+    def test_matches_brute_force(self, n, q):
+        for r in range(n + 1):
+            for lam in range(1, (2 if q**n == 9 else 3) + 1):
+                assert max_packing_size(n, q, lam, r) == brute_force_max_packing(n, q, lam, r), (
+                    n, q, lam, r)
+
+    def test_placements(self):
+        # without fixing the least codeword by translation, these searches
+        # placed 28,192 and 3,808 codewords
+        for args, value, placements, before in (((4, 2, 3, 1), 8, 8770, 28192),
+                                                ((3, 4, 1, 1), 4, 172, 3808)):
+            assert _max_packing_search(*args) == (value, placements)
+            assert placements < before
+
     def test_twofold_values(self):
         # frozen from the exhaustive oracle itself
         expected = {1: 2, 2: 2, 3: 4, 4: 5, 5: 10, 6: 16, 7: 32}
