@@ -225,6 +225,11 @@ def is_bipartite_unitrade(t_set: Code, extended: bool) -> Bipartition:
     proper 2-coloring, and an odd cycle found by the BFS refutes it.
     """
     _require_unitrade(t_set, extended)
+    return _bipartition(t_set, extended)
+
+
+def _bipartition(t_set: Code, extended: bool) -> Bipartition:
+    """The 2-coloring of ``is_bipartite_unitrade``, for a known unitrade."""
     words = t_set.words
     m = len(words)
     adj = _conflict_adjacency(words, extended)
@@ -326,6 +331,12 @@ def reducibility_certificate(t_set: Code) -> Reducibility:
     _require_unitrade(t_set, extended=True)
     if len(t_set) == 0:
         raise ValueError("reducibility is undefined for the empty unitrade")
+    return _reducibility(t_set)
+
+
+def _reducibility(t_set: Code) -> Reducibility:
+    """The certificate of ``reducibility_certificate``, for a known nonempty
+    extended unitrade."""
     n = t_set.space.n
     parent = list(range(n))
 

@@ -15,12 +15,23 @@ is broken up front: the all-zero word is in the set and its n/2
 distance-2 neighbors are exactly the aligned pair words 1100...,
 0011..., ....  Every equivalence class has such a member (translate a
 member to zero, then permute its neighbor matching onto the aligned
-pairs), so the enumeration is complete; duplicates are removed by
-canonical forms, after a cheap orbit-minimality filter under the
-subgroup that preserves the seed.  Every word lies in n cliques and a
-unitrade meets each clique it touches in exactly two words, so a branch
-that has touched k cliques has no completion below ⌈2k/n⌉ words; the
-minimum-size search and capped classifications cut on this bound.
+pairs), so the enumeration is complete.  Every word lies in n cliques
+and a unitrade meets each clique it touches in exactly two words, so a
+branch that has touched k cliques has no completion below ⌈2k/n⌉ words;
+the minimum-size search and capped classifications cut on this bound.
+
+Isomorphs are rejected as early as is safe, under the seed group G: the
+coordinate permutations that preserve the seed, i.e. the aligned pairs
+permuted and swapped inside (384 elements at n = 8).  A classification
+splits the tree below the seed into units, replayable lists of IN and
+OUT decisions, and drops a unit whose decisions are the G-image of a
+kept unit's: propagation commutes with G, so its subtree lists exactly
+the images of the kept unit's unitrades.  Serial runs, worker processes
+and checkpoints all search the kept units.  Of the unitrades found, one
+per G-orbit is kept (bucketed by a G-invariant and tested against the
+kept ones); the nonbipartite filter then drops bipartite ones, since
+bipartiteness is an isometry invariant; and only the rest get canonical
+forms, which merge the G-orbits into classes.
 
 Equivalence is the isometry group of H(n, 2) acting on vertex sets:
 coordinate permutations composed with translations (odd-parity sets are
@@ -45,21 +56,17 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import lru_cache
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import (
-    is_antipodal,
-    is_bipartite_unitrade,
-    is_extended_unitrade,
-    reducibility_certificate,
-)
+from .analysis import _bipartition, _reducibility, is_antipodal, is_extended_unitrade
 from .bounds import lp_bound
 from .core import Code, Space
-from .core import ball as ball_iter
 
 _MIN_N, _MAX_N = 4, 12
 
@@ -235,6 +242,25 @@ def are_equivalent(a: Code, b: Code) -> bool:
 # the unitrade enumeration engine
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _halved_cube(
+    n: int,
+) -> tuple[list[int], dict[int, int], list[list[int]], list[list[int]], list[int]]:
+    """The engine's read-only structure, built once per n: the even words,
+    their indices, the members of each clique (one per odd word), the
+    cliques of each even word, and the index of each even word's complement."""
+    evens = [k for k in range(1 << n) if k.bit_count() % 2 == 0]
+    odds = [k for k in range(1 << n) if k.bit_count() % 2 == 1]
+    even_index = {k: i for i, k in enumerate(evens)}
+    clique_members = [[even_index[c ^ (1 << b)] for b in range(n)] for c in odds]
+    member_cliques: list[list[int]] = [[] for _ in evens]
+    for ci, members in enumerate(clique_members):
+        for m in members:
+            member_cliques[m].append(ci)
+    complement = [even_index[k ^ ((1 << n) - 1)] for k in evens]
+    return evens, even_index, clique_members, member_cliques, complement
+
+
 class _Engine:
     """Clique-propagation search over the even-parity words of H(n, 2)."""
 
@@ -244,21 +270,11 @@ class _Engine:
         self.n = n
         self.antipodal_only = antipodal_only
         self.max_cardinality = max_cardinality
-        evens = [k for k in range(1 << n) if k.bit_count() % 2 == 0]
-        odds = [k for k in range(1 << n) if k.bit_count() % 2 == 1]
-        self.evens = evens
-        self.even_index = {k: i for i, k in enumerate(evens)}
-        self.clique_members = [
-            [self.even_index[c ^ (1 << b)] for b in range(n)] for c in odds
-        ]
-        self.member_cliques: list[list[int]] = [[] for _ in evens]
-        for ci, members in enumerate(self.clique_members):
-            for m in members:
-                self.member_cliques[m].append(ci)
-        self.complement = [self.even_index[k ^ ((1 << n) - 1)] for k in evens]
-        self.status = bytearray(len(evens))
-        self.cin = bytearray(len(odds))
-        self.cund = bytearray([n]) * len(odds)
+        (self.evens, self.even_index, self.clique_members,
+         self.member_cliques, self.complement) = _halved_cube(n)
+        self.status = bytearray(len(self.evens))
+        self.cin = bytearray(len(self.clique_members))
+        self.cund = bytearray([n]) * len(self.clique_members)
         self.in_count = 0
         self.touched = 0  # cliques holding at least one chosen word
         self.nodes = 0  # _search calls
@@ -474,10 +490,12 @@ def _enumerate_with_seed(
     antipodal_only: bool = False,
     max_cardinality: Optional[int] = None,
     decisions: Sequence[tuple[int, int]] = (),
-) -> list[tuple[int, ...]]:
+) -> tuple[list[tuple[int, ...]], int]:
+    """Every unitrade below the seed and the decisions, and the search nodes."""
+    engine = _Engine(n, antipodal_only, max_cardinality)
     out: list[tuple[int, ...]] = []
-    _seeded_search(_Engine(n, antipodal_only, max_cardinality), decisions, out)
-    return out
+    _seeded_search(engine, decisions, out)
+    return out, engine.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +516,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n % 2 or not _MIN_N <= self.n <= _MAX_N:
             raise ValueError(f"supported lengths are even n in {_MIN_N}..{_MAX_N}")
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
+        if type(self.threads) is not int or self.threads < 1:
+            raise ValueError("threads must be a positive int")
         card = self.max_cardinality
         if card is not None and (type(card) is not int or card < 1):
             raise ValueError("max_cardinality must be None or a positive int")
@@ -550,79 +568,135 @@ def has_constant_weight_translate(t_set: Code) -> bool:
     return False
 
 
-def _pair_permutations(n: int) -> list[list[int]]:
-    """Coordinate permutations preserving the seed configuration:
-    permutations of the n/2 aligned pairs composed with in-pair swaps."""
-    from itertools import permutations, product
-
-    half = n // 2
-    perms = []
-    for block_order in permutations(range(half)):
-        for flips in product((0, 1), repeat=half):
-            perm = [0] * n
-            for t in range(half):
-                ta, tb = 2 * block_order[t], 2 * block_order[t] + 1
-                if flips[t]:
-                    ta, tb = tb, ta
-                perm[2 * t], perm[2 * t + 1] = ta, tb
-            perms.append(perm)
-    return perms
+def _bit_lookup(bit_img: Sequence[int]) -> list[int]:
+    """Image of every key on len(bit_img) bits, bit b going to bit_img[b]."""
+    table = [0] * (1 << len(bit_img))
+    for key in range(1, len(table)):
+        low = key & -key
+        table[key] = table[key ^ low] | bit_img[low.bit_length() - 1]
+    return table
 
 
-def _perm_tables(perms: list[list[int]], n: int) -> list[list[int]]:
-    """Per-permutation lookup of the image of every n-bit key, built by
-    extending lowest-set-bit images."""
-    tables = []
-    for perm in perms:
-        bit_img = [0] * n
-        for i in range(n):
-            bit_img[n - 1 - i] = 1 << (n - 1 - perm[i])
-        table = [0] * (1 << n)
-        for key in range(1, 1 << n):
-            low = key & -key
-            table[key] = table[key ^ low] | bit_img[low.bit_length() - 1]
-        tables.append(table)
-    return tables
+class _SeedGroup:
+    """The coordinate permutations that preserve the seed: permutations of
+    the n/2 aligned pairs composed with swaps inside pairs, (n/2)!·2^(n/2)
+    elements (384 at n = 8).  Built once per n.
+
+    Pair t is bits 2t, 2t+1 of a key.  An element maps a key by a pair
+    permutation, read from two half-word lookup tables, and then swaps
+    the bits of the chosen pairs, which changes only the pairs whose two
+    bits differ.  Storage is (n/2)! table pairs of 2^(n/2) entries and
+    2^(n/2) swap masks, not a 2^n table per element.
+    """
+
+    def __init__(self, n: int) -> None:
+        half = n // 2
+        self.half = half
+        self.low_bits = int("01" * half, 2)  # the low bit of every pair
+        self.tables = []
+        for order in permutations(range(half)):
+            bit_img = [0] * n
+            for t, u in enumerate(order):
+                bit_img[2 * t], bit_img[2 * t + 1] = 1 << 2 * u, 2 << 2 * u
+            self.tables.append((_bit_lookup(bit_img[half:]), _bit_lookup(bit_img[:half])))
+        self.swaps = [
+            sum(3 << 2 * t for t in range(half) if f >> t & 1) for f in range(1 << half)
+        ]
+
+    def invariant(self, parts: Sequence[Sequence[int]]) -> tuple:
+        """Per part, the sorted (pairs 11, pairs 01 or 10) counts of its keys."""
+        low = self.low_bits
+        return tuple(
+            tuple(sorted(((k & k >> 1 & low).bit_count(), ((k ^ k >> 1) & low).bit_count())
+                         for k in part))
+            for part in parts
+        )
+
+    def maps_onto(self, parts: Sequence[Sequence[int]], targets: Sequence[set[int]]) -> bool:
+        """Does some element map every part into, hence onto, its equal-sized
+        target?  Each pair permutation is tried on the first key alone, and
+        the rest is mapped only for the swaps that keep the first key in."""
+        half, mask, low = self.half, (1 << self.half) - 1, self.low_bits
+        keys = [(k, target) for part, target in zip(parts, targets) for k in part]
+        if not keys:
+            return True
+        (k0, t0), rest = keys[0], keys[1:]
+        for hi, lo in self.tables:
+            y0 = hi[k0 >> half] | lo[k0 & mask]
+            d0 = ((y0 ^ y0 >> 1) & low) * 3  # the pairs that a swap changes
+            hits = [s for s in self.swaps if y0 ^ (d0 & s) in t0]
+            if not hits:
+                continue
+            images = []
+            for k, target in rest:
+                y = hi[k >> half] | lo[k & mask]
+                images.append((y, ((y ^ y >> 1) & low) * 3, target))
+            for s in hits:
+                if all(y ^ (d & s) in target for y, d, target in images):
+                    return True
+        return False
 
 
-def _orbit_minimal(solution: tuple[int, ...], tables: list[list[int]]) -> bool:
-    """Keep one representative per orbit of the seed-preserving group."""
-    sol = list(solution)
-    for table in tables:
-        mapped = sorted(table[k] for k in sol)
-        if mapped < sol:
+@lru_cache(maxsize=None)
+def _seed_group(n: int) -> _SeedGroup:
+    return _SeedGroup(n)
+
+
+class _OrbitSieve:
+    """Passes the first item offered from each orbit of the seed group.
+
+    An item is a tuple of key lists, mapped part by part.  Items are
+    bucketed by an invariant of the group, and an item is tested against
+    the kept items of its bucket only.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.group = _seed_group(n)
+        self.kept: dict[tuple, list[tuple[set[int], ...]]] = {}
+
+    def is_new(self, parts: Sequence[Sequence[int]]) -> bool:
+        bucket = self.kept.setdefault(self.group.invariant(parts), [])
+        if any(self.group.maps_onto(parts, targets) for targets in bucket):
             return False
-    return True
+        bucket.append(tuple(set(part) for part in parts))
+        return True
 
 
-def _classify_worker(args: tuple) -> list[tuple[int, ...]]:
-    n, antipodal_only, max_cardinality, decisions = args
-    return _enumerate_with_seed(n, antipodal_only, max_cardinality, [tuple(d) for d in decisions])
+# Kept units to split the tree into, per worker: splitting deeper rejects
+# more isomorphic subtrees but costs sieve tests on every generated unit.
+_UNITS_PER_THREAD = 8
+_CHECKPOINT_VERSION = 2  # 1: units split without the seed group
 
 
-def _expand_units(engine: _Engine, target: int) -> tuple[list[list[tuple[int, int]]], list[tuple[int, ...]]]:
+def _expand_units(
+    engine: _Engine, target: int
+) -> tuple[list[list[tuple[int, int]]], list[tuple[int, ...]], dict[str, int]]:
     """Split the search tree below the seed into replayable decision lists.
 
-    Returns (units, closed): ``closed`` collects the complete unitrades
-    encountered at the expanded nodes themselves (the 'stop here'
-    alternative of the extension branching).
+    A unit whose decisions (IN and OUT literals) are the image of a kept
+    unit's under the seed group is dropped: propagation commutes with the
+    group, so its subtree lists the images of the kept unit's unitrades.
+    A kept unit that is split further stays covered by its children and
+    by the unitrade closed at it, so rejection acts at every level.
+    Returns (units, closed, counts): ``closed`` collects the complete
+    unitrades encountered at the expanded nodes themselves (the 'stop
+    here' alternative of the extension branching), and ``counts`` the
+    units generated and rejected.
     """
+    sieve = _OrbitSieve(engine.n)
+    evens, IN = engine.evens, engine.IN
     units: list[list[tuple[int, int]]] = [[]]
     closed: list[tuple[int, ...]] = []
+    generated = rejected = 0
     while units and len(units) < target:
         units.sort(key=len)
         unit = units.pop(0)
         mk = engine.mark()
-        ok = True
-        for idx, val in unit:
-            if not engine.assign(idx, val):
-                ok = False
-                break
         children: list[list[tuple[int, int]]] = []
-        if ok:
+        if all(engine.assign(idx, val) for idx, val in unit):
             cands = engine.pick_front()
             if cands is not None:
-                children = [unit + [(mj, engine.IN)] for mj in cands]
+                children = [unit + [(mj, IN)] for mj in cands]
             else:
                 closed.append(engine.in_keys())
                 limit = engine.max_cardinality
@@ -630,61 +704,55 @@ def _expand_units(engine: _Engine, target: int) -> tuple[list[list[tuple[int, in
                     undecided = engine.undecided_indices()
                     for pos, w in enumerate(undecided):
                         children.append(
-                            unit + [(u, engine.OUT) for u in undecided[:pos]] + [(w, engine.IN)]
+                            unit + [(u, engine.OUT) for u in undecided[:pos]] + [(w, IN)]
                         )
         engine.undo(mk)
-        if not children and not units:
-            break
-        units.extend(children)
-    return units, closed
+        for child in children:
+            generated += 1
+            literals = ([evens[i] for i, v in child if v == IN],
+                        [evens[i] for i, v in child if v != IN])
+            if sieve.is_new(literals):
+                units.append(child)
+            else:
+                rejected += 1
+    return units, closed, {"units": generated, "rejected": rejected, "searched": len(units)}
 
 
-def _run_enumeration(cfg: SearchConfig) -> list[tuple[int, ...]]:
-    if cfg.threads == 1 and cfg.checkpoint_path is None:
-        return _enumerate_with_seed(cfg.n, cfg.antipodal_only, cfg.max_cardinality)
-
+def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str, int]]:
+    """The unitrades found below the kept units and while splitting, which
+    hold a member of every class, and the work counts: units generated,
+    rejected and searched, and the engine nodes searched in this call."""
     engine = _Engine(cfg.n, cfg.antipodal_only, cfg.max_cardinality)
+    counts = {"units": 0, "rejected": 0, "searched": 0, "nodes": 0}
     for idx, val in engine.seed_decisions():
         if not engine.assign(idx, val):
-            return []
-    units, closed = _expand_units(engine, max(256, 64 * cfg.threads))
+            return [], counts
+    units, solutions, split_counts = _expand_units(engine, _UNITS_PER_THREAD * cfg.threads)
+    counts.update(split_counts)
 
     state = _load_checkpoint(cfg, len(units)) if cfg.checkpoint_path else None
     if state is None:
         state = {
+            "version": _CHECKPOINT_VERSION,
             "filters": cfg.filter_key(),
             "unit_count": len(units),
-            "closed": [list(s) for s in closed],
             "completed": {},
         }
-    solutions: list[tuple[int, ...]] = [tuple(s) for s in state["closed"]]
     for sols in state["completed"].values():
         solutions.extend(tuple(s) for s in sols)
-    todo = [(i, u) for i, u in enumerate(units) if str(i) not in state["completed"]]
+    todo = [i for i in range(len(units)) if str(i) not in state["completed"]]
 
-    if cfg.threads > 1:
-        from concurrent.futures import as_completed
-
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {
-                pool.submit(
-                    _classify_worker, (cfg.n, cfg.antipodal_only, cfg.max_cardinality, unit)
-                ): i
-                for i, unit in todo
-            }
-            for fut in as_completed(futures):
-                sols = fut.result()
-                solutions.extend(sols)
-                state["completed"][str(futures[fut])] = [list(s) for s in sols]
-                _save_checkpoint(cfg, state)
-    else:
-        for i, unit in todo:
-            sols = _enumerate_with_seed(cfg.n, cfg.antipodal_only, cfg.max_cardinality, unit)
+    args = ([cfg.n] * len(todo), [cfg.antipodal_only] * len(todo),
+            [cfg.max_cardinality] * len(todo), [units[i] for i in todo])
+    with ProcessPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_enumerate_with_seed, *args)
+        for i, (sols, nodes) in zip(todo, results):
             solutions.extend(sols)
+            counts["nodes"] += nodes
             state["completed"][str(i)] = [list(s) for s in sols]
             _save_checkpoint(cfg, state)
     _save_checkpoint(cfg, state)
-    return solutions
+    return solutions, counts
 
 
 def _load_checkpoint(cfg: SearchConfig, unit_count: int) -> Optional[dict]:
@@ -695,8 +763,15 @@ def _load_checkpoint(cfg: SearchConfig, unit_count: int) -> Optional[dict]:
         state = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
+    if not isinstance(state, dict) or state.get("version") != _CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint {path} is not in format version {_CHECKPOINT_VERSION}; "
+            "its units were split by another version of the search"
+        )
     if state.get("filters") != cfg.filter_key() or state.get("unit_count") != unit_count:
-        raise ValueError(f"checkpoint {path} was written for a different configuration")
+        raise ValueError(
+            f"checkpoint {path} was written for other filters or another thread count"
+        )
     return state
 
 
@@ -712,27 +787,27 @@ def _save_checkpoint(cfg: SearchConfig, state: dict) -> None:
 def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
     """Complete, isomorph-free classification of the nonempty extended
     1-perfect unitrades of length cfg.n satisfying the filters."""
-    solutions = _run_enumeration(cfg)
+    solutions = _run_enumeration(cfg)[0]
 
     n = cfg.n
-    tables = _perm_tables(_pair_permutations(n), n)
-    survivors = [s for s in solutions if _orbit_minimal(s, tables)]
-
     space = Space(n, 2)
-    classes: dict[tuple[int, ...], Code] = {}
-    for sol in survivors:
-        canon = _canonical_keys(sol, n)
-        if canon not in classes:
-            classes[canon] = Code.from_bits(space, canon)
-
-    result = []
-    for rep in classes.values():
-        if not is_extended_unitrade(rep).ok:
-            raise AssertionError("classification produced a non-unitrade representative")
-        bip = is_bipartite_unitrade(rep, extended=True).bipartite
+    sieve = _OrbitSieve(n)
+    classes: dict[tuple[int, ...], bool] = {}  # canonical keys -> bipartite
+    for sol in solutions:
+        if not sieve.is_new((sol,)):
+            continue
+        # bipartiteness is an isometry invariant: test it before the form
+        bip = _bipartition(Code.from_bits(space, sol), extended=True).bipartite
         if cfg.nonbipartite_only and bip:
             continue
-        red = reducibility_certificate(rep)
+        classes.setdefault(_canonical_keys(sol, n), bip)
+
+    result = []
+    for canon, bip in classes.items():
+        rep = Code.from_bits(space, canon)
+        if not is_extended_unitrade(rep).ok:
+            raise AssertionError("classification produced a non-unitrade representative")
+        red = _reducibility(rep)
         result.append(
             EquivalenceClass(
                 representative=rep,
@@ -790,10 +865,20 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     size = space.size
     if size > 4096:
         raise ValueError("the exact packing search is a desk-scale oracle (q^n <= 4096)")
-    words = list(space)
-    index = {w.key: i for i, w in enumerate(words)}
-    balls = [sorted(index[v.key] for v in ball_iter(w, r)) for w in words]
     ball_size = space.ball_size(r)
+    # vertex v is the v-th word in lexicographic order, so its digits are
+    # those of v in base q; a ball is grown by changing digits at
+    # increasing positions, one more per layer
+    place = [q ** (n - 1 - p) for p in range(n)]
+    balls = []
+    for v in range(size):
+        steps = [[(d - v // w % q) * w for d in range(q) if d != v // w % q] for w in place]
+        ball, layer = [v], [(v, 0)]
+        for _ in range(r):
+            layer = [(u + s, p + 1)
+                     for u, first in layer for p in range(first, n) for s in steps[p]]
+            ball += [u for u, _ in layer]
+        balls.append(ball)
     cap = lam * size // ball_size
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)

@@ -2,20 +2,31 @@
 
 import json
 import random
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 import pytest
 
 from hampack import constructions as con
-from hampack.analysis import is_extended_unitrade
+from hampack.analysis import (
+    is_antipodal,
+    is_bipartite_unitrade,
+    is_extended_unitrade,
+    reducibility_certificate,
+)
 from hampack.bounds import lp_bound, sphere_packing_bound
 from hampack.core import Code, Space, Word
 from hampack.search import (
+    EquivalenceClass,
     SearchConfig,
     _Engine,
+    _OrbitSieve,
     _canonical_search,
+    _enumerate_with_seed,
     _max_packing_search,
     _min_unitrade_search,
+    _run_enumeration,
+    _seed_group,
     _seeded_search,
     are_equivalent,
     canonical_form,
@@ -83,6 +94,58 @@ def oracle_sets() -> list[tuple[list[int], int]]:
     for t in (con.diagonal_unitrade(4), con.l_star(6)):
         sets.append(([w.key for w in t.words], t.space.n))
     return sets
+
+
+def pair_permutation_tables(n: int) -> list[list[int]]:
+    """Reference seed group: a 2^n-entry image table for every permutation
+    of the n/2 aligned pairs composed with swaps inside pairs."""
+    half = n // 2
+    tables = []
+    for block_order in permutations(range(half)):
+        for flips in product((0, 1), repeat=half):
+            perm = [0] * n
+            for t in range(half):
+                ta, tb = 2 * block_order[t], 2 * block_order[t] + 1
+                if flips[t]:
+                    ta, tb = tb, ta
+                perm[2 * t], perm[2 * t + 1] = ta, tb
+            bit_img = [0] * n
+            for i in range(n):
+                bit_img[n - 1 - i] = 1 << (n - 1 - perm[i])
+            table = [0] * (1 << n)
+            for key in range(1, 1 << n):
+                low = key & -key
+                table[key] = table[key ^ low] | bit_img[low.bit_length() - 1]
+            tables.append(table)
+    return tables
+
+
+def orbit_minimal(solution: tuple[int, ...], tables: list[list[int]]) -> bool:
+    """Is the sorted key list the least of its images under the tables?"""
+    sol = list(solution)
+    return all(sorted(table[k] for k in sol) >= sol for table in tables)
+
+
+@lru_cache(maxsize=None)
+def oracle_classes(n: int) -> tuple[EquivalenceClass, ...]:
+    """Slow oracle: the canonical form of every solution of the plain seeded
+    enumeration, with no group filtering, and flags from the public checks."""
+    space = Space(n, 2)
+    classes = []
+    for keys in {_canonical_search(sol, n)[0] for sol in _enumerate_with_seed(n)[0]}:
+        rep = Code.from_bits(space, keys)
+        kind = reducibility_certificate(rep).kind
+        classes.append(EquivalenceClass(
+            representative=rep,
+            cardinality=len(rep),
+            bipartite=is_bipartite_unitrade(rep, extended=True).bipartite,
+            antipodal=is_antipodal(rep),
+            constant_weight_translate=has_constant_weight_translate(rep),
+            irreducible=kind == "irreducible",
+            reducibility_kind=kind,
+        ))
+    classes.sort(key=lambda cl: (cl.cardinality, [w.key for w in cl.representative.words]))
+    return tuple(classes)
 
 
 class TestCanonicalForm:
@@ -212,8 +275,9 @@ class TestClassifySmall:
             SearchConfig(n=7)
         with pytest.raises(ValueError):
             SearchConfig(n=14)
-        with pytest.raises(ValueError):
-            SearchConfig(n=6, threads=0)
+        for threads in (0, -1, 2.5, "2", True):
+            with pytest.raises(ValueError):
+                SearchConfig(n=6, threads=threads)
         for card in (-3, 0, 2.5, True):
             with pytest.raises(ValueError):
                 SearchConfig(n=6, max_cardinality=card)
@@ -241,6 +305,57 @@ class TestClassifySmall:
         assert _seeded_search(engine, (), [])
         assert engine.nodes == 718
 
+    def test_unit_rejection_work_counts(self):
+        # one plain search below the seed visits 718, 321 and 102 nodes
+        for kw, counts in (
+            ({}, {"units": 20, "rejected": 6, "searched": 9, "nodes": 141}),
+            ({"max_cardinality": 16}, {"units": 20, "rejected": 6, "searched": 9, "nodes": 54}),
+            ({"antipodal_only": True}, {"units": 26, "rejected": 5, "searched": 18, "nodes": 18}),
+        ):
+            assert _run_enumeration(SearchConfig(n=8, **kw))[1] == counts, kw
+
+
+class TestSeedGroup:
+    def test_order(self):
+        for n, order in ((4, 8), (6, 48), (8, 384), (10, 3840)):
+            group = _seed_group(n)
+            assert len(group.tables) * len(group.swaps) == order
+
+    @pytest.mark.parametrize("n,sizes", [(4, (2,)), (4, (3,)), (4, (4,)), (6, (2,)), (6, (1, 1))])
+    def test_sieve_passes_one_item_per_orbit(self, n, sizes):
+        # every item of the given part sizes, against the orbits of the
+        # full image tables of the pair permutations
+        tables = pair_permutation_tables(n)
+        sieve = _OrbitSieve(n)
+        seen = set()
+        for parts in product(*(combinations(range(1 << n), size) for size in sizes)):
+            least = min(tuple(tuple(sorted(t[k] for k in part)) for part in parts) for t in tables)
+            assert sieve.is_new(parts) == (least not in seen), parts
+            seen.add(least)
+
+    def test_sieve_matches_orbit_minimal_filter(self):
+        tables = pair_permutation_tables(8)
+        solutions = _enumerate_with_seed(8)[0]
+        sieve = _OrbitSieve(8)
+        kept = [s for s in solutions if sieve.is_new((s,))]
+        assert len(kept) == sum(orbit_minimal(s, tables) for s in solutions) == 9
+
+
+class TestClassificationOracle:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_matches_plain_enumeration(self, n):
+        assert len(oracle_classes(n)) == {4: 1, 6: 2, 8: 8}[n]
+        for nonbipartite, antipodal, cap in product((False, True), (False, True),
+                                                    (None, 8, 12, 16, 20, 24, 28)):
+            expected = [
+                c for c in oracle_classes(n)
+                if not (nonbipartite and c.bipartite) and (c.antipodal or not antipodal)
+                and (cap is None or c.cardinality <= cap)
+            ]
+            got = classify_extended_unitrades(SearchConfig(
+                n=n, nonbipartite_only=nonbipartite, antipodal_only=antipodal, max_cardinality=cap))
+            assert got == expected, (n, nonbipartite, antipodal, cap)
+
 
 class TestThreadsAndCheckpoints:
     def test_thread_count_does_not_change_output(self):
@@ -263,9 +378,42 @@ class TestThreadsAndCheckpoints:
         with pytest.raises(ValueError):
             classify_extended_unitrades(SearchConfig(n=6, checkpoint_path=str(path)))
 
+    def test_n8_threads_and_checkpoints_match_serial(self, tmp_path):
+        serial = classify_extended_unitrades(SearchConfig(n=8))
+        assert classify_extended_unitrades(SearchConfig(n=8, threads=2)) == serial
+        path = tmp_path / "n8.ckpt"
+        cfg = SearchConfig(n=8, checkpoint_path=str(path))
+        assert classify_extended_unitrades(cfg) == serial
+        # resume with every other unit still to search
+        state = json.loads(path.read_text())
+        done = sorted(state["completed"], key=int)
+        assert len(done) == 9
+        for i in done[::2]:
+            del state["completed"][i]
+        path.write_text(json.dumps(state))
+        assert classify_extended_unitrades(cfg) == serial
+        assert sorted(json.loads(path.read_text())["completed"], key=int) == done
+        # the thread count sets the split, so a checkpoint resumes only with its own
+        with pytest.raises(ValueError, match="thread count"):
+            classify_extended_unitrades(SearchConfig(n=8, threads=2, checkpoint_path=str(path)))
+
+    def test_checkpoint_of_other_format_rejected(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        cfg = SearchConfig(n=8, checkpoint_path=str(path))
+        classify_extended_unitrades(cfg)
+        state = json.loads(path.read_text())
+        # the same filters and unit count, written without a format version,
+        # and a state of the driver that split units without the seed group
+        del state["version"]
+        old = {"filters": cfg.filter_key(), "unit_count": 256, "closed": [], "completed": {}}
+        for bad in (state, old, []):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match="format version"):
+                classify_extended_unitrades(cfg)
+
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "other.ckpt"
-        state = {"filters": {"n": 8}, "unit_count": 1, "closed": [], "completed": {}}
+        state = {"version": 2, "filters": {"n": 8}, "unit_count": 1, "completed": {}}
         path.write_text(json.dumps(state))
         with pytest.raises(ValueError):
             classify_extended_unitrades(SearchConfig(n=6, checkpoint_path=str(path)))
