@@ -49,7 +49,10 @@ maxima either by exhausting the tree or by meeting a proven upper bound
 they are used to check.  Translations act transitively on H(n, q) and
 map balls onto balls, so every packing has a translate that contains
 the first vertex, and only packings whose least codeword is that vertex
-are searched.
+are searched.  Codewords are placed in nondecreasing order, so once the
+next candidate is v, a vertex whose ball lies below v gains no more
+coverage and its spare room is lost; a node is cut when the room left
+cannot hold one more codeword than the best packing found.
 """
 
 from __future__ import annotations
@@ -231,6 +234,8 @@ def are_equivalent(a: Code, b: Code) -> bool:
     translation; decided by comparing canonical forms."""
     if a.space.n != b.space.n:
         raise ValueError("sets of different lengths are never equivalent")
+    if a.space.q != 2 or b.space.q != 2:
+        raise ValueError("equivalence is implemented for q=2 only")
     if len(a) != len(b):
         return False
     if _distance_profile([w.key for w in a.words]) != _distance_profile([w.key for w in b.words]):
@@ -853,14 +858,21 @@ def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
     answer is the true multiset maximum.  Translations of H(n, q) act
     transitively and map balls onto balls, so every packing has a
     translate containing the first vertex, and only the subtree whose
-    least codeword is that vertex is searched.  Certification is by
-    meeting a proven upper bound or exhausting that subtree.
+    least codeword is that vertex is searched.  Codewords are placed in
+    nondecreasing order, so a vertex whose ball lies wholly below the next
+    candidate keeps its coverage, and its spare room lam - cov is lost;
+    each codeword fills |B_r| units of room, so a node is cut once
+    (lam * q^n - lost room) // |B_r| cannot beat the best size found.
+    Certification is by meeting a proven upper bound or exhausting that
+    subtree.
     """
     return _max_packing_search(n, q, lam, r)[0]
 
 
 def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     """Maximum packing size, and the number of codeword placements tried."""
+    if type(lam) is not int or lam < 1:
+        raise ValueError("lambda must be a positive int")
     space = Space(n, q)
     size = space.size
     if size > 4096:
@@ -868,17 +880,19 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     ball_size = space.ball_size(r)
     # vertex v is the v-th word in lexicographic order, so its digits are
     # those of v in base q; a ball is grown by changing digits at
-    # increasing positions, one more per layer
+    # increasing positions, one more per layer (moves[p][a]: the steps
+    # that change digit a at position p), and kept in decreasing order
     place = [q ** (n - 1 - p) for p in range(n)]
+    moves = [[[(d - a) * w for d in range(q) if d != a] for a in range(q)] for w in place]
     balls = []
     for v in range(size):
-        steps = [[(d - v // w % q) * w for d in range(q) if d != v // w % q] for w in place]
+        steps = [moves[p][v // w % q] for p, w in enumerate(place)]
         ball, layer = [v], [(v, 0)]
         for _ in range(r):
             layer = [(u + s, p + 1)
                      for u, first in layer for p in range(first, n) for s in steps[p]]
             ball += [u for u, _ in layer]
-        balls.append(ball)
+        balls.append(sorted(ball, reverse=True))
     cap = lam * size // ball_size
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)
@@ -887,27 +901,53 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     # loop starts at its parent's vertex (repeats allowed), and the search
     # stops once the cap is met.  Some translate of every packing holds
     # vertex 0, the least vertex, so the search ends when that root would
-    # be popped.
+    # be popped.  full[c] counts the vertices of ball c that hold lam
+    # codewords, for the centres c not below the vertex whose placement
+    # filled them: no smaller candidate is asked until it is undone.
+    # Once the next candidate is v, a vertex whose largest ball member
+    # lies below v gains no more coverage (membership is symmetric), and
+    # its spare room is dead: no completion beats best once
+    # dead > lam * q^n - (best + 1) * |B_r|.
+    dying: list[list[int]] = [[] for _ in range(size)]  # vertices by largest ball member
+    for u, ball in enumerate(balls):
+        dying[ball[0]].append(u)
     cov = [0] * size
-    chosen: list[int] = []
-    best = placements = 0
+    full = [0] * size
+    chosen: list[tuple[int, int]] = []  # (vertex, dead room when it was placed)
+    best = placements = dead = 0
+    limit = lam * size - ball_size
     v = 0
     while best < cap:
-        while v < size and any(cov[u] >= lam for u in balls[v]):
+        while v < size and full[v]:
+            for u in dying[v]:
+                dead += lam - cov[u]
             v += 1
-        if v < size:
+        if v < size and dead <= limit:
             for u in balls[v]:
                 cov[u] += 1
-            chosen.append(v)
+                if cov[u] == lam:
+                    for c in balls[u]:
+                        if c < v:
+                            break
+                        full[c] += 1
+            chosen.append((v, dead))
             placements += 1
             if len(chosen) > best:
                 best = len(chosen)
+                limit = lam * size - (best + 1) * ball_size
             continue
         if len(chosen) <= 1:
             break
-        v = chosen.pop()
+        v, dead = chosen.pop()
         for u in balls[v]:
+            if cov[u] == lam:
+                for c in balls[u]:
+                    if c < v:
+                        break
+                    full[c] -= 1
             cov[u] -= 1
+        for u in dying[v]:
+            dead += lam - cov[u]
         v += 1
     return best, placements
 

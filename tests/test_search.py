@@ -15,7 +15,7 @@ from hampack.analysis import (
     reducibility_certificate,
 )
 from hampack.bounds import lp_bound, sphere_packing_bound
-from hampack.core import Code, Space, Word
+from hampack.core import MAX_Q, Code, Space, Word, ball
 from hampack.search import (
     EquivalenceClass,
     SearchConfig,
@@ -209,6 +209,17 @@ class TestAreEquivalent:
 
     def test_size_shortcut(self):
         assert not are_equivalent(con.diagonal_unitrade(6), con.l_star(6))
+
+    def test_non_binary_sets_raise(self):
+        ternary = Code.from_strings(["000", "111", "222"], 3)
+        shifted = Code.from_strings(["001", "112", "220"], 3)
+        with pytest.raises(ValueError):
+            are_equivalent(ternary, shifted)
+        binary = Code.from_strings(["000", "011", "101"], 2)
+        with pytest.raises(ValueError):
+            are_equivalent(ternary, binary)
+        with pytest.raises(ValueError):
+            are_equivalent(binary, ternary)
 
 
 class TestClassifySmall:
@@ -475,7 +486,57 @@ def brute_force_max_packing(n: int, q: int, lam: int, r: int) -> int:
     return best
 
 
+def reference_max_packing(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
+    """The packing search without the room bound: the same node order, the
+    same root restriction and the same cap, cut by nothing else."""
+    space = Space(n, q)
+    words = list(space)
+    index = {w: i for i, w in enumerate(words)}
+    balls = [[index[u] for u in ball(w, r)] for w in words]
+    size = len(words)
+    cap = lam * size // space.ball_size(r)
+    if q == 2 and r == 1 and n >= 2:
+        cap = min(cap, lp_bound(n, lam).value)
+    cov = [0] * size
+    chosen: list[int] = []
+    best = placements = v = 0
+    while best < cap:
+        while v < size and any(cov[u] >= lam for u in balls[v]):
+            v += 1
+        if v < size:
+            for u in balls[v]:
+                cov[u] += 1
+            chosen.append(v)
+            placements += 1
+            best = max(best, len(chosen))
+            continue
+        if len(chosen) <= 1:
+            break
+        v = chosen.pop()
+        for u in balls[v]:
+            cov[u] -= 1
+        v += 1
+    return best, placements
+
+
+def sweep_instances() -> list[tuple[int, int, int, int]]:
+    """Every space with q^n <= 27 (and q within the digit limit) and H(5, 2),
+    lambda <= 3, all radii; (5, 2, 3, 1) is left out, at about 8 s for the
+    reference."""
+    spaces = [(n, q) for n in range(1, 5) for q in range(2, MAX_Q + 1) if q**n <= 27]
+    spaces.append((5, 2))
+    return [(n, q, lam, r) for n, q in spaces for lam in (1, 2, 3) for r in range(n + 1)
+            if (n, q, lam, r) != (5, 2, 3, 1)]
+
+
 class TestMaxPacking:
+    def test_matches_unbounded_reference(self):
+        for args in sweep_instances():
+            value, placements = _max_packing_search(*args)
+            reference = reference_max_packing(*args)
+            assert value == reference[0], args
+            assert placements <= reference[1], args
+
     @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)])
     def test_matches_brute_force(self, n, q):
         for r in range(n + 1):
@@ -484,12 +545,21 @@ class TestMaxPacking:
                     n, q, lam, r)
 
     def test_placements(self):
-        # without fixing the least codeword by translation, these searches
-        # placed 28,192 and 3,808 codewords
-        for args, value, placements, before in (((4, 2, 3, 1), 8, 8770, 28192),
-                                                ((3, 4, 1, 1), 4, 172, 3808)):
+        # without the room bound these searches placed the `before` counts;
+        # without fixing the least codeword by translation as well,
+        # (4,2,3,1) and (3,4,1,1) placed 28,192 and 3,808
+        for args, value, placements, before in (((4, 2, 3, 1), 8, 2229, 8770),
+                                                ((3, 3, 2, 1), 6, 750, 2258),
+                                                ((3, 4, 1, 1), 4, 113, 172),
+                                                ((5, 2, 2, 1), 10, 958, 2532)):
             assert _max_packing_search(*args) == (value, placements)
             assert placements < before
+
+    def test_room_bound_on_a_deep_optimum(self):
+        # the optimum meets the cap 16, but the first packing of 16 in
+        # search order lies deep: without the room bound the search placed
+        # 1,948,714 codewords to reach it
+        assert _max_packing_search(5, 2, 3, 1) == (16, 93585)
 
     def test_twofold_values(self):
         # frozen from the exhaustive oracle itself
@@ -541,6 +611,10 @@ class TestMaxPacking:
             max_twofold_packing_size(8)
         with pytest.raises(ValueError):
             max_packing_size(13, 2, 2, 1)
+        for q in (2, 3):
+            for lam in (0, -2, 1.5, True, "2"):
+                with pytest.raises(ValueError):
+                    max_packing_size(2, q, lam, 1)
 
 
 @pytest.mark.slow
