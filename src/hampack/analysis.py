@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .core import Code, Space, Word, ball, hamming_distance, weight
+from .core import Code, Space, Word, _check_same_space, _code, _word, ball, hamming_distance
 
 # ---------------------------------------------------------------------------
 # packing verification
@@ -88,7 +88,7 @@ def verify_packing(code: Code, lam: int, r: int, force_full_scan: bool = False) 
     counts = _coverage_counts_union(code, r) if use_union else _coverage_counts_full(code, r)
     max_cov = max(counts.values())
     witness_key = min(k for k, v in counts.items() if v == max_cov)
-    witness = Word(space, witness_key)
+    witness = _word(space, witness_key)
     return PackingReport(max_cov, witness, lam, max_cov <= lam, dups)
 
 
@@ -112,7 +112,7 @@ def is_unitrade(t_set: Code) -> CheckResult:
     counts = _coverage_counts_union(t_set, 1)
     bad = [k for k, v in counts.items() if v != 2]
     if bad:
-        return CheckResult(False, Word(t_set.space, min(bad)))
+        return CheckResult(False, _word(t_set.space, min(bad)))
     return CheckResult(True, None)
 
 
@@ -166,7 +166,7 @@ def is_extended_unitrade(t_set: Code) -> CheckResult:
         if alt != verdict:
             raise AssertionError("ball scan and halved-cube characterization disagree")
     if bad:
-        return CheckResult(False, Word(space, min(bad)))
+        return CheckResult(False, _word(space, min(bad)))
     return CheckResult(True, None)
 
 
@@ -198,16 +198,30 @@ class Bipartition:
         return self.bipartite
 
 
-def _conflict_adjacency(words: tuple[Word, ...], extended: bool) -> list[list[int]]:
-    m = len(words)
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = hamming_distance(words[i], words[j])
-            if d == 2 or (not extended and d == 1) or d == 0:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+def _distance_rows(space: Space, words: tuple[Word, ...], others: tuple[Word, ...]):
+    """For each word, the list of its distances to ``others``, on keys.
+
+    q-ary symbols are spread one-hot over q bits, so for every q the
+    distance is the popcount of an XOR (halved when q > 2).
+    """
+    if space.q == 2:
+        keys, cols, shift = [w.key for w in words], [w.key for w in others], 0
+    else:
+        q = space.q
+
+        def spread(key: bytes) -> int:
+            return sum(1 << (q * i + s) for i, s in enumerate(key))
+
+        keys, cols, shift = [spread(w.key) for w in words], [spread(w.key) for w in others], 1
+    for a in keys:
+        yield [(a ^ b).bit_count() >> shift for b in cols]
+
+
+def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
+    """Neighbours j != i (increasing) of each word: distance 0 or 2, or 1 unless extended."""
+    near = {0, 2} if extended else {0, 1, 2}
+    return [[j for j, d in enumerate(row) if d in near and j != i]
+            for i, row in enumerate(_distance_rows(code.space, code.words, code.words))]
 
 
 def _require_unitrade(t_set: Code, extended: bool) -> None:
@@ -232,7 +246,7 @@ def _bipartition(t_set: Code, extended: bool) -> Bipartition:
     """The 2-coloring of ``is_bipartite_unitrade``, for a known unitrade."""
     words = t_set.words
     m = len(words)
-    adj = _conflict_adjacency(words, extended)
+    adj = _conflict_adjacency(t_set, extended)
     color = [-1] * m
     parent = [-1] * m
     for start in range(m):
@@ -279,7 +293,7 @@ def primary_components(t_set: Code, extended: bool) -> list[Code]:
     """
     _require_unitrade(t_set, extended)
     words = t_set.words
-    adj = _conflict_adjacency(words, extended)
+    adj = _conflict_adjacency(t_set, extended)
     comp = [-1] * len(words)
     pieces: list[Code] = []
     for start in range(len(words)):
@@ -317,13 +331,15 @@ class Reducibility:
 
 
 def _project(t_set: Code, coords: tuple[int, ...]) -> Code:
-    space = Space(len(coords), 2)
-    seen = {}
+    """The set of words restricted to the coordinates (binary)."""
+    shifts = [t_set.space.n - 1 - c for c in coords]
+    keys = set()
     for w in t_set.words:
-        syms = w.symbols
-        sub = Word.from_symbols((syms[i] for i in coords), 2)
-        seen[sub.key] = sub
-    return Code(space, seen.values())
+        sub = 0
+        for s in shifts:
+            sub = (sub << 1) | ((w.key >> s) & 1)
+        keys.add(sub)
+    return _code(Space(len(coords), 2), keys)
 
 
 def reducibility_certificate(t_set: Code) -> Reducibility:
@@ -368,18 +384,9 @@ def _reducibility(t_set: Code) -> Reducibility:
         left = tuple(sorted(c for i in range(k) if (mask >> i) & 1 for c in components[i]))
         right = tuple(sorted(c for i in range(k) if not (mask >> i) & 1 for c in components[i]))
         u_proj, v_proj = _project(t_set, left), _project(t_set, right)
-        if len(u_proj) * len(v_proj) != len(t_set):
-            continue
-        rebuilt = set()
-        for u in u_proj.words:
-            for v in v_proj.words:
-                syms = [0] * n
-                for c, s in zip(left, u.symbols):
-                    syms[c] = s
-                for c, s in zip(right, v.symbols):
-                    syms[c] = s
-                rebuilt.add(Word.from_symbols(syms, 2).key)
-        if rebuilt == {w.key for w in t_set.words}:
+        # the set lies inside the product of its projections, so it is
+        # that product exactly when it has as many distinct words
+        if len(u_proj) * len(v_proj) == len(set(keys)) == len(keys):
             return Reducibility("factorization", components, (left, right), (u_proj, v_proj))
     return Reducibility("unknown", components)
 
@@ -416,9 +423,10 @@ class DistanceData:
 
 def weight_distribution(code: Code, x: Word) -> tuple[int, ...]:
     """A_i(x): codewords (with multiplicity) at distance i from x."""
+    _check_same_space(code, x)
     counts = [0] * (code.space.n + 1)
-    for c in code.words:
-        counts[hamming_distance(c, x)] += 1
+    for d in next(_distance_rows(code.space, (x,), code.words)):
+        counts[d] += 1
     return tuple(counts)
 
 
@@ -436,9 +444,9 @@ def distance_data(code: Code, x: Optional[Word] = None) -> DistanceData:
         raise ValueError("distance distribution of an empty code is undefined")
     n = code.space.n
     pair_counts = [0] * (n + 1)
-    for a in code.words:
-        for b in code.words:
-            pair_counts[hamming_distance(a, b)] += 1
+    for row in _distance_rows(code.space, code.words, code.words):
+        for d in row:
+            pair_counts[d] += 1
     size = len(code)
     b_dist = tuple(Fraction(c, size) for c in pair_counts)
     a_x = weight_distribution(code, x) if x is not None else None
@@ -479,7 +487,7 @@ def inner_radius(t_set: Code) -> int:
     """min over members of the max distance to other members."""
     if len(t_set) == 0:
         raise ValueError("inner radius of an empty set is undefined")
-    return min(max(hamming_distance(x, y) for y in t_set.words) for x in t_set.words)
+    return min(map(max, _distance_rows(t_set.space, t_set.words, t_set.words)))
 
 
 @dataclass(frozen=True)
@@ -507,22 +515,19 @@ def pair_profile(t_set: Code) -> PairProfile:
     space = t_set.space
     if space.q != 2:
         raise ValueError("pair profiles are defined for q=2 only")
-    if space.zero() not in set(t_set.words):
+    if space.zero() not in t_set:
         raise ValueError("translate the unitrade so that it contains the all-zero word")
     n = space.n
-    w_counts = [0] * (n + 1)
-    for w in t_set.words:
-        w_counts[weight(w)] += 1
+    weights = [w.key.bit_count() for w in t_set.words]
+    w_counts = [weights.count(i) for i in range(n + 1)]
     minus = [0] * (n + 1)
     star = [0] * (n + 1)
     plus = [0] * (n + 1)
-    words = t_set.words
-    for a in words:
-        wa = weight(a)
-        for b in words:
-            if hamming_distance(a, b) != 2:
+    rows = _distance_rows(space, t_set.words, t_set.words)
+    for wa, row in zip(weights, rows):
+        for wb, d in zip(weights, row):
+            if d != 2:
                 continue
-            wb = weight(b)
             if wb == wa + 2:
                 plus[wa] += 1
             elif wb == wa - 2:

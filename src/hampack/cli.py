@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from . import analysis, bounds, constructions, partitions, search
-from .core import Code, Space, Word, read_code, write_code
+from .core import Code, Space, _key_text, read_code, write_code
 
 _WORD_LIST_LIMIT = 256
 
@@ -51,13 +51,8 @@ def _emit_code(code: Code, out: Optional[str]) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    code = _read_input_code(args.file)
-    report = analysis.verify_packing(code, args.lam, args.r)
-    payload = {
-        "n": code.space.n,
-        "q": code.space.q,
-        "size": len(code),
+def _packing_payload(args: argparse.Namespace, report: analysis.PackingReport) -> dict:
+    return {
         "lambda": args.lam,
         "r": args.r,
         "max_coverage": report.max_coverage,
@@ -65,6 +60,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "is_lambda_fold": report.is_lambda_fold,
         "duplicate_words": [str(w) for w in report.duplicate_words],
     }
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    code = _read_input_code(args.file)
+    report = analysis.verify_packing(code, args.lam, args.r)
+    payload = {"n": code.space.n, "q": code.space.q, "size": len(code), **_packing_payload(args, report)}
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -90,14 +91,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     payload: dict = {
         "space": {"n": code.space.n, "q": code.space.q},
         "size": len(code),
-        "packing": {
-            "lambda": args.lam,
-            "r": args.r,
-            "max_coverage": report.max_coverage,
-            "witness": str(report.witness) if report.witness is not None else None,
-            "is_lambda_fold": report.is_lambda_fold,
-            "duplicate_words": [str(w) for w in report.duplicate_words],
-        },
+        "packing": _packing_payload(args, report),
     }
     plain = analysis.is_unitrade(code)
     payload["unitrade"] = {
@@ -114,11 +108,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     bipartite = None
     if extended is not None and extended["ok"]:
-        split = analysis.is_bipartite_unitrade(code, extended=True)
-        bipartite = split.bipartite
+        bipartite = analysis.is_bipartite_unitrade(code, extended=True).bipartite
     elif plain.ok and len(code) > 0:
-        split = analysis.is_bipartite_unitrade(code, extended=False)
-        bipartite = split.bipartite
+        bipartite = analysis.is_bipartite_unitrade(code, extended=False).bipartite
     payload["bipartite"] = bipartite
     payload["antipodal"] = analysis.is_antipodal(code) if code.space.q == 2 else None
     payload["inner_radius"] = analysis.inner_radius(code) if len(code) else None
@@ -291,9 +283,9 @@ def _cell_payload(space: Space, cell: frozenset[int]) -> dict:
     keys = sorted(cell)
     payload: dict = {"size": len(keys)}
     if len(keys) <= _WORD_LIST_LIMIT:
-        payload["words"] = [str(Word(space, k)) for k in keys]
+        payload["words"] = [_key_text(space, k) for k in keys]
     else:
-        digest = hashlib.sha256("\n".join(str(Word(space, k)) for k in keys).encode()).hexdigest()
+        digest = hashlib.sha256("\n".join(_key_text(space, k) for k in keys).encode()).hexdigest()
         payload["sha256"] = digest
     return payload
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import isqrt
 
-from .core import Code, Space, Word
+from .core import Code, Space, Word, _code
 from .linalg import (
     BinaryMatrix,
     MixedMatrix,
@@ -151,27 +152,13 @@ def embedded_data() -> EmbeddedData:
 def mds_code(n: int, q: int) -> Code:
     """All words with digit sum 0 mod q: a distance-2 MDS code of size q^(n-1)."""
     space = Space(n, q)
-    words = []
-    for prefix in product(range(q), repeat=n - 1):
-        last = (-sum(prefix)) % q
-        words.append(Word.from_symbols(prefix + (last,), q))
-    return Code(space, words)
+    keys = [_key(q, prefix + ((-sum(prefix)) % q,)) for prefix in product(range(q), repeat=n - 1)]
+    return _code(space, keys)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _hamming_check_columns(q: int) -> list[tuple[int, int]]:
-    """Pairwise independent columns over GF(q): the projective line."""
-    return [(0, 1), (1, 0)] + [(1, a) for a in range(1, q)]
+def _key(q: int, symbols: tuple[int, ...]) -> int | bytes:
+    """The key of a word from its symbols, which lie in 0..q-1."""
+    return int("".join(map(str, symbols)), 2) if q == 2 else bytes(symbols)
 
 
 def hamming_code_q(q: int) -> Code:
@@ -180,17 +167,19 @@ def hamming_code_q(q: int) -> Code:
     Two check equations over the projective-line columns; the kernel has
     q^(n-2) words and every radius-1 ball holds exactly one of them.
     """
-    if not _is_prime(q):
+    if not (q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))):
         raise ValueError(f"prime-field construction only: q={q} is not prime")
     n = q + 1
-    cols = _hamming_check_columns(q)
-    words = []
+    # pairwise independent columns over GF(q): the projective line
+    cols = [(0, 1), (1, 0)] + [(1, a) for a in range(1, q)]
+    space = Space(n, q)
+    keys = []
     # columns 0 and 1 are pivots: x1 = -sum_{j>=2} cols[j][0] x_j, x0 likewise
     for free in product(range(q), repeat=n - 2):
         s0 = sum(cols[j + 2][0] * free[j] for j in range(n - 2)) % q
         s1 = sum(cols[j + 2][1] * free[j] for j in range(n - 2)) % q
-        words.append(Word.from_symbols(((-s1) % q, (-s0) % q) + free, q))
-    return Code(Space(n, q), words)
+        keys.append(_key(q, ((-s1) % q, (-s0) % q) + free))
+    return _code(space, keys)
 
 
 def hamming_coset_union(q: int, lam: int, reps: list[Word] | None = None) -> Code:
@@ -230,7 +219,7 @@ def diagonal_unitrade(n: int) -> Code:
         raise ValueError("the diagonal construction needs even n >= 2")
     half = n // 2
     space = Space(n, 2)
-    return Code.from_bits(space, ((x << half) | x for x in range(1 << half)))
+    return _code(space, ((x << half) | x for x in range(1 << half)))
 
 
 def l_star(n: int) -> Code:
@@ -261,7 +250,7 @@ def l_star(n: int) -> Code:
         clear = sum(1 << (n - 1 - (i + d) % n) for d in range(4))
         put = (1 << (n - 1 - (i + 1) % n)) | (1 << (n - 1 - (i + 2) % n))
         keys.update((key & ~clear) | put for key in base)
-    return Code.from_bits(space, keys)
+    return _code(space, keys)
 
 
 def concatenate(left: Code, right: Code) -> Code:
@@ -275,9 +264,7 @@ def concatenate(left: Code, right: Code) -> Code:
         return Code(Space(left.space.n + right.space.n, 2), [])
     n_right = right.space.n
     space = Space(left.space.n + n_right, 2)
-    return Code.from_bits(
-        space, ((u.key << n_right) | v.key for u in left.words for v in right.words)
-    )
+    return _code(space, ((u.key << n_right) | v.key for u in left.words for v in right.words))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +276,7 @@ def extend_parity(code: Code) -> Code:
     if code.space.q != 2:
         raise ValueError("parity extension is defined for q=2 only")
     space = Space(code.space.n + 1, 2)
-    return Code(space, (Word(space, (w.key << 1) | w.parity) for w in code.words))
+    return _code(space, ((w.key << 1) | w.parity for w in code.words))
 
 
 def puncture_last(code: Code) -> Code:
@@ -298,8 +285,8 @@ def puncture_last(code: Code) -> Code:
         raise ValueError("cannot puncture length-1 words")
     space = Space(code.space.n - 1, code.space.q)
     if code.space.q == 2:
-        return Code(space, (Word(space, w.key >> 1) for w in code.words))
-    return Code(space, (Word(space, w.key[:-1]) for w in code.words))
+        return _code(space, (w.key >> 1 for w in code.words))
+    return _code(space, (w.key[:-1] for w in code.words))
 
 
 def shorten(code: Code, coord: int, symbol: int) -> Code:
@@ -314,8 +301,8 @@ def shorten(code: Code, coord: int, symbol: int) -> Code:
     for w in code.words:
         syms = w.symbols
         if syms[coord] == symbol:
-            kept.append(Word.from_symbols(syms[:coord] + syms[coord + 1:], q))
-    return Code(space, kept)
+            kept.append(_key(q, syms[:coord] + syms[coord + 1:]))
+    return _code(space, kept)
 
 
 def majority_shorten(code: Code, coord: int) -> Code:
@@ -373,11 +360,7 @@ def packing96_propelinear() -> tuple[Code, Code]:
     xi0, xi1, xi2 = data.xi_generators
     space = Space(10, 2)
     c0 = orbit([xi0, xi1, xi2], space.zero())
-    seen: dict[int, Word] = {}
-    for seed in data.orbit_seeds:
-        for w in orbit([xi1, xi2], seed).words:
-            seen[w.key] = w
-    c4 = Code(space, seen.values())
+    c4 = _code(space, {w.key for seed in data.orbit_seeds for w in orbit([xi1, xi2], seed).words})
     return c0, c4
 
 

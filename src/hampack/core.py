@@ -22,19 +22,30 @@ Text interchange format (the only on-disk format used by the package)::
     q n
     <word>      # one n-digit string per line; repeats encode multiplicity
 
-Lines starting with '#' and blank lines are ignored.  Writers emit words
-in canonical (lexicographic) order.
+Words are ASCII digit strings over '0'..'q-1'; lines starting with '#'
+and blank lines are ignored.  Writers emit words in canonical order.
+
+Input is checked at the boundary (``Word``, ``Word.from_*``, ``Code``,
+``Code.from_*``, ``parse_code``).  Inside, ``_word(space, key)`` and
+``_code(space, keys)`` build without checks, on the invariant that each
+key is valid in that space (an int below 2^n for q = 2, else n bytes
+below q), being derived from valid keys or checked once per code.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
 MAX_Q = 10         # digit-string I/O: one character per symbol
 MAX_BINARY_N = 64  # binary fast path: one machine word of bits
+_DIGITS = b"0123456789"
+_TO_SYMBOLS = bytes.maketrans(_DIGITS, bytes(range(10)))
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), _DIGITS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +85,13 @@ class Space:
         """All q**n words in lexicographic order."""
         if self.q == 2:
             for key in range(1 << self.n):
-                yield Word(self, key)
+                yield _word(self, key)
         else:
             for symbols in product(range(self.q), repeat=self.n):
-                yield Word(self, bytes(symbols))
-
-    def word(self, text: str) -> "Word":
-        """Parse an n-character digit string."""
-        return Word.from_string(text, self.q)
+                yield _word(self, bytes(symbols))
 
     def zero(self) -> "Word":
-        return Word(self, 0 if self.q == 2 else bytes(self.n))
+        return _word(self, 0 if self.q == 2 else bytes(self.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,10 +131,8 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, q: int) -> "Word":
-        try:
-            return cls.from_symbols((int(ch) for ch in text), q)
-        except ValueError as exc:
-            raise ValueError(f"bad word {text!r} over alphabet 0..{q - 1}: {exc}") from None
+        space = Space(len(text), q)
+        return _word(space, _parse_keys(space, [text])[0])
 
     @property
     def symbols(self) -> tuple[int, ...]:
@@ -144,7 +149,7 @@ class Word:
         return sum(self.key) & 1
 
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
+        return _key_text(self.space, self.key)
 
     def __lt__(self, other: "Word") -> bool:
         _check_same_space(self, other)
@@ -158,22 +163,36 @@ class Word:
         """Coordinatewise addition mod q."""
         _check_same_space(self, other)
         if self.space.q == 2:
-            return Word(self.space, self.key ^ other.key)
+            return _word(self.space, self.key ^ other.key)
         q = self.space.q
-        return Word(self.space, bytes((a + b) % q for a, b in zip(self.key, other.key)))
+        return _word(self.space, bytes((a + b) % q for a, b in zip(self.key, other.key)))
 
     def __neg__(self) -> "Word":
         if self.space.q == 2:
             return self
         q = self.space.q
-        return Word(self.space, bytes((-a) % q for a in self.key))
+        return _word(self.space, bytes((-a) % q for a in self.key))
 
     def __sub__(self, other: "Word") -> "Word":
         return self + (-other)
 
 
-def _check_same_space(x: Word, y: Word) -> None:
-    if x.space != y.space:
+_word_key = attrgetter("key")
+_new_word = object.__new__
+_set_space = Word.space.__set__
+_set_key = Word.key.__set__
+
+
+def _word(space: Space, key: int | bytes) -> Word:
+    """A Word from a key known to be valid in ``space``, built unchecked."""
+    w = _new_word(Word)
+    _set_space(w, space)
+    _set_key(w, key)
+    return w
+
+
+def _check_same_space(x: Word | Code, y: Word) -> None:
+    if x.space is not y.space and x.space != y.space:
         raise ValueError(f"space mismatch: {x.space} vs {y.space}")
 
 
@@ -196,7 +215,7 @@ def antipode(x: Word) -> Word:
     """x + all-one word (binary only)."""
     if x.space.q != 2:
         raise ValueError("antipode is defined for q=2 only")
-    return Word(x.space, x.key ^ ((1 << x.space.n) - 1))
+    return _word(x.space, x.key ^ ((1 << x.space.n) - 1))
 
 
 def ball(center: Word, r: int) -> Iterator[Word]:
@@ -212,7 +231,7 @@ def ball(center: Word, r: int) -> Iterator[Word]:
                 flip = 0
                 for i in positions:
                     flip |= 1 << (n - 1 - i)
-                yield Word(space, key ^ flip)
+                yield _word(space, key ^ flip)
     else:
         base = center.key
         for k in range(r + 1):
@@ -221,13 +240,12 @@ def ball(center: Word, r: int) -> Iterator[Word]:
                     syms = bytearray(base)
                     for i, d in zip(positions, deltas):
                         syms[i] = (syms[i] + d) % q
-                    yield Word(space, bytes(syms))
+                    yield _word(space, bytes(syms))
 
 
 def coverage_multiplicity(code: "Code", v: Word, r: int) -> int:
     """Multiset count of codewords within distance r of v."""
-    if code.space != v.space:
-        raise ValueError(f"space mismatch: {code.space} vs {v.space}")
+    _check_same_space(code, v)
     return sum(1 for c in code if hamming_distance(c, v) <= r)
 
 
@@ -237,19 +255,20 @@ class Code:
     __slots__ = ("space", "words")
 
     def __init__(self, space: Space, words: Iterable[Word]):
-        ws = sorted(words, key=lambda w: w.key)
+        ws = sorted(words, key=_word_key)
         for w in ws:
-            if w.space != space:
+            if w.space is not space and w.space != space:
                 raise ValueError(f"word {w} does not live in {space}")
         self.space = space
         self.words = tuple(ws)
 
     @classmethod
     def from_strings(cls, texts: Iterable[str], q: int) -> "Code":
-        words = [Word.from_string(t, q) for t in texts]
-        if not words:
+        texts = list(texts)
+        if not texts:
             raise ValueError("cannot infer the space of an empty code; pass Space explicitly")
-        return cls(words[0].space, words)
+        space = Space(len(texts[0]), q)
+        return _code(space, _parse_keys(space, texts))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -258,7 +277,7 @@ class Code:
         return iter(self.words)
 
     def __contains__(self, w: Word) -> bool:
-        return w in set(self.words)
+        return self.multiplicity(w) > 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Code) and self.space == other.space and self.words == other.words
@@ -270,52 +289,73 @@ class Code:
         return f"Code(n={self.space.n}, q={self.space.q}, size={len(self.words)})"
 
     def multiplicity(self, w: Word) -> int:
-        return sum(1 for x in self.words if x == w)
+        if not isinstance(w, Word) or (w.space is not self.space and w.space != self.space):
+            return 0
+        lo = bisect_left(self.words, w.key, key=_word_key)
+        return bisect_right(self.words, w.key, lo, key=_word_key) - lo
 
     def duplicate_words(self) -> list[Word]:
         """Distinct words occurring with multiplicity > 1."""
-        dups, prev, run = [], None, 0
-        for w in self.words:
-            if prev is not None and w == prev:
-                run += 1
-                if run == 2:
-                    dups.append(w)
-            else:
-                prev, run = w, 1
-        return dups
+        runs = (list(run) for _, run in groupby(self.words, key=_word_key))
+        return [run[0] for run in runs if len(run) > 1]
 
     def support(self) -> "Code":
         """The underlying set (multiplicities dropped)."""
-        seen, out = set(), []
-        for w in self.words:
-            if w.key not in seen:
-                seen.add(w.key)
-                out.append(w)
-        return Code(self.space, out)
-
-    def bit_list(self) -> list[int]:
-        """Sorted bit-packed keys (binary codes only; the fast-path view)."""
-        if self.space.q != 2:
-            raise ValueError("bit_list is available for q=2 only")
-        return [w.key for w in self.words]
+        return _code(self.space, {w.key for w in self.words})
 
     @classmethod
     def from_bits(cls, space: Space, keys: Iterable[int]) -> "Code":
         if space.q != 2:
             raise ValueError("from_bits is available for q=2 only")
-        return cls(space, (Word(space, k) for k in keys))
+        keys, limit = list(keys), 1 << space.n
+        if not all(isinstance(k, int) and 0 <= k < limit for k in keys):
+            raise ValueError("binary word key out of range")
+        return _code(space, keys)
 
     def translate(self, t: Word) -> "Code":
         return Code(self.space, (w + t for w in self.words))
+
+
+def _code(space: Space, keys: Iterable[int | bytes]) -> Code:
+    """A Code from keys known to be valid in ``space``, built unchecked."""
+    code = object.__new__(Code)
+    code.space = space
+    code.words = tuple([_word(space, k) for k in sorted(keys)])
+    return code
 
 
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
 
+def _parse_keys(space: Space, texts: list[str]) -> list[int | bytes]:
+    """Keys of n-character strings over the ASCII digits '0'..'q-1';
+    the ValueError names the first string that is not one."""
+    n, q = space.n, space.q
+    body = "".join(texts)
+    if (not set(map(len, texts)) <= {n} or not body.isascii()
+            or body.encode().translate(None, _DIGITS[:q])):
+        for text in texts:
+            if len(text) != n:
+                raise ValueError(f"word {text!r} has length {len(text)}, expected {n}")
+            if not text.isascii() or text.encode().translate(None, _DIGITS[:q]):
+                raise ValueError(f"bad word {text!r} over alphabet 0..{q - 1}")
+    if q == 2:
+        return [int(text, 2) for text in texts]
+    symbols = body.encode().translate(_TO_SYMBOLS)
+    return [symbols[i:i + n] for i in range(0, len(symbols), n)]
+
+
+def _key_text(space: Space, key: int | bytes) -> str:
+    if space.q == 2:
+        return format(key, f"0{space.n}b")
+    return key.translate(_TO_DIGITS).decode()
+
+
 def format_code(code: Code) -> str:
-    lines = [f"{code.space.q} {code.space.n}"]
-    lines.extend(str(w) for w in code.words)
+    space = code.space
+    lines = [f"{space.q} {space.n}"]
+    lines.extend(_key_text(space, w.key) for w in code.words)
     return "\n".join(lines) + "\n"
 
 
@@ -325,16 +365,11 @@ def parse_code(text: str) -> Code:
     if not lines:
         raise ValueError("empty code file: missing 'q n' header")
     header = lines[0].split()
-    if len(header) != 2:
+    if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
         raise ValueError(f"bad header {lines[0]!r}: expected 'q n'")
     q, n = int(header[0]), int(header[1])
     space = Space(n, q)
-    words = []
-    for ln in lines[1:]:
-        if len(ln) != n:
-            raise ValueError(f"word {ln!r} has length {len(ln)}, expected {n}")
-        words.append(space.word(ln))
-    return Code(space, words)
+    return _code(space, _parse_keys(space, lines[1:]))
 
 
 def write_code(code: Code, stream: TextIO) -> None:

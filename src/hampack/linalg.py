@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Code, Space, Word
+from .core import Code, Space, Word, _code, _word
 
 GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
@@ -62,11 +62,8 @@ class BinaryMatrix:
             raise ValueError("empty matrix has no space")
         return self.rows[0].space
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r.symbols[j] for r in self.rows)
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.space.n)]
+        return [tuple(r.symbols[j] for r in self.rows) for j in range(self.space.n)]
 
 
 def _as_rows(gens: BinaryMatrix | Sequence[Word]) -> tuple[Word, ...]:
@@ -118,23 +115,16 @@ def coset_union(group_code: Code, reps: Sequence[Word]) -> Code:
     members = set(group_code.words)
     if len(members) != len(group_code):
         raise ValueError("coset carrier contains duplicate words")
-    zero = space.zero()
-    if zero not in members:
+    if space.zero() not in members:
         raise ValueError("coset carrier is not a group: missing the zero word")
     for a in members:
         for b in members:
             if a + b not in members:
                 raise ValueError(f"coset carrier is not closed under addition: {a} + {b}")
-    union: dict[int | bytes, Word] = {}
-    expected = 0
-    for r in reps:
-        expected += len(members)
-        for k in members:
-            w = k + r
-            union[w.key] = w
-    if len(union) != expected:
+    union = {(k + r).key for r in reps for k in members}
+    if len(union) != len(reps) * len(members):
         warnings.warn("coset representatives are not in distinct cosets; duplicates collapsed")
-    return Code(space, union.values())
+    return _code(space, union)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +297,12 @@ def _permute(perm: tuple[int, ...], x: Word) -> Word:
     for i in range(n):
         if (key >> (n - 1 - i)) & 1:
             out |= 1 << (n - 1 - perm[i])
-    return Word(x.space, out)
+    return _word(x.space, out)
 
 
 def apply_propelinear(m: PropelinearMap, x: Word) -> Word:
     """translation + pi(x); an isometry of H(n, 2)."""
-    if x.space != m.translation.space:
+    if x.space is not m.translation.space and x.space != m.translation.space:
         raise ValueError("length mismatch between map and word")
     return m.translation + _permute(m.permutation, x)
 

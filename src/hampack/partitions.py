@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Code, Space, Word
+from .core import Code, Space, Word, _word
 
 MAX_PARTITION_N = 22
 
@@ -52,9 +52,6 @@ class IntersectionMatrix:
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def validate(self, cell_sizes: Sequence[int], degree: int) -> None:
         """Consistency: |C_i| s_ij = |C_j| s_ji and rows sum to the degree."""
@@ -94,9 +91,6 @@ class Partition:
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
-    def cell_code(self, i: int) -> Code:
-        return Code.from_bits(self.space, self.cells[i])
-
     @property
     def equitable(self) -> bool:
         return self.matrix is not None
@@ -120,7 +114,7 @@ def _cell_index(space: Space, cells: Sequence[frozenset[int]]) -> list[int]:
             raise ValueError(f"cell {ci} is empty")
         for key in cell:
             if idx[key] != -1:
-                raise ValueError(f"cells overlap at vertex {Word(space, key)}")
+                raise ValueError(f"cells overlap at vertex {_word(space, key)}")
             idx[key] = ci
     missing = idx.count(-1)
     if missing:
@@ -148,7 +142,7 @@ def is_equitable(
         if rows[ci] is None:
             rows[ci] = prof
         elif rows[ci] != prof:
-            return None, Word(space, key)
+            return None, _word(space, key)
     matrix = IntersectionMatrix(tuple(r for r in rows if r is not None))
     matrix.validate([len(c) for c in cell_sets], space.degree)
     return matrix, None

@@ -69,7 +69,7 @@ from typing import Optional, Sequence
 
 from .analysis import _bipartition, _reducibility, is_antipodal, is_extended_unitrade
 from .bounds import lp_bound
-from .core import Code, Space
+from .core import Code, Space, _code
 
 _MIN_N, _MAX_N = 4, 12
 
@@ -199,26 +199,25 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
     return tuple(best), searched
 
 
-def _canonical_keys(keys: Sequence[int], n: int) -> tuple[int, ...]:
+@lru_cache(maxsize=256)
+def _canonical_keys_cached(keys: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Exact lex-min of the sorted key list over translations x permutations."""
     return _canonical_search(keys, n)[0]
 
 
-@lru_cache(maxsize=256)
-def _canonical_keys_cached(keys: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return _canonical_keys(keys, n)
+def _canonical_form_keys(t_set: Code) -> tuple[int, ...]:
+    if t_set.space.q != 2:
+        raise ValueError("canonical forms are implemented for q=2 only")
+    keys = tuple(sorted({w.key for w in t_set.words}))
+    if len(keys) != len(t_set.words):
+        raise ValueError("canonical forms are defined for multiplicity-free sets")
+    return _canonical_keys_cached(keys, t_set.space.n)
 
 
 def canonical_form(t_set: Code) -> Code:
     """Lexicographic minimum of the set over coordinate permutations and
     translations; idempotent, and equal across equivalent sets."""
-    space = t_set.space
-    if space.q != 2:
-        raise ValueError("canonical forms are implemented for q=2 only")
-    keys = tuple(sorted({w.key for w in t_set.words}))
-    if len(keys) != len(t_set.words):
-        raise ValueError("canonical forms are defined for multiplicity-free sets")
-    return Code.from_bits(space, _canonical_keys_cached(keys, space.n))
+    return _code(t_set.space, _canonical_form_keys(t_set))
 
 
 def _distance_profile(keys: Sequence[int]) -> tuple[int, ...]:
@@ -240,7 +239,7 @@ def are_equivalent(a: Code, b: Code) -> bool:
         return False
     if _distance_profile([w.key for w in a.words]) != _distance_profile([w.key for w in b.words]):
         return False
-    return canonical_form(a).words == canonical_form(b).words
+    return _canonical_form_keys(a) == _canonical_form_keys(b)
 
 
 # ---------------------------------------------------------------------------
@@ -802,14 +801,14 @@ def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
         if not sieve.is_new((sol,)):
             continue
         # bipartiteness is an isometry invariant: test it before the form
-        bip = _bipartition(Code.from_bits(space, sol), extended=True).bipartite
+        bip = _bipartition(_code(space, sol), extended=True).bipartite
         if cfg.nonbipartite_only and bip:
             continue
-        classes.setdefault(_canonical_keys(sol, n), bip)
+        classes.setdefault(_canonical_search(sol, n)[0], bip)
 
     result = []
     for canon, bip in classes.items():
-        rep = Code.from_bits(space, canon)
+        rep = _code(space, canon)
         if not is_extended_unitrade(rep).ok:
             raise AssertionError("classification produced a non-unitrade representative")
         red = _reducibility(rep)

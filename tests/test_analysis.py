@@ -7,6 +7,8 @@ import pytest
 
 from hampack import constructions
 from hampack.analysis import (
+    _bipartition,
+    _conflict_adjacency,
     average_distance,
     distance_data,
     inner_radius,
@@ -23,7 +25,7 @@ from hampack.analysis import (
     verify_packing,
     weight_distribution,
 )
-from hampack.core import Code, Space, Word
+from hampack.core import Code, Space, Word, hamming_distance, weight
 
 
 def bword(s: str) -> Word:
@@ -336,3 +338,173 @@ class TestWeightDistributionHelper:
     def test_counts(self):
         code = Code.from_strings(["000", "011", "101"], 2)
         assert weight_distribution(code, bword("000")) == (1, 0, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# key-level kernels against definitions on hamming_distance
+# ---------------------------------------------------------------------------
+
+def ref_b(code):
+    counts = [0] * (code.space.n + 1)
+    for a in code.words:
+        for b in code.words:
+            counts[hamming_distance(a, b)] += 1
+    return tuple(Fraction(c, len(code)) for c in counts)
+
+
+def ref_inner_radius(code):
+    return min(max(hamming_distance(x, y) for y in code.words) for x in code.words)
+
+
+def ref_pair_profile(t):
+    n = t.space.n
+    w_counts, minus, star, plus = ([0] * (n + 1) for _ in range(4))
+    for a in t.words:
+        w_counts[weight(a)] += 1
+        for b in t.words:
+            if hamming_distance(a, b) == 2:
+                step = weight(b) - weight(a)
+                (plus if step == 2 else minus if step == -2 else star)[weight(a)] += 1
+    return (n, len(t), tuple(w_counts), tuple(minus), tuple(star), tuple(plus))
+
+
+def ref_conflicts(code, extended):
+    near = (0, 2) if extended else (0, 1, 2)
+    words = code.words
+    return [[j for j in range(len(words)) if j != i and hamming_distance(words[i], words[j]) in near]
+            for i in range(len(words))]
+
+
+def ref_components(code, extended):
+    words = code.words
+    parent = list(range(len(words)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, row in enumerate(ref_conflicts(code, extended)):
+        for j in row:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, w in enumerate(words):
+        groups.setdefault(find(i), []).append(w.key)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def check_bipartition(code, extended):
+    """The split is a proper 2-colouring of the conflict graph, or the
+    cycle is an odd closed walk of conflicts; decided independently by
+    a parity union-find."""
+    adj = ref_conflicts(code, extended)
+    parity_parent = {i: (i, 0) for i in range(len(code))}
+
+    def find(a):
+        p = 0
+        while parity_parent[a][0] != a:
+            a, step = parity_parent[a]
+            p ^= step
+        return a, p
+
+    two_colourable = True
+    for i, row in enumerate(adj):
+        for j in row:
+            (ri, pi), (rj, pj) = find(i), find(j)
+            if ri == rj:
+                two_colourable &= pi != pj
+            else:
+                parity_parent[ri] = (rj, pi ^ pj ^ 1)
+    res = _bipartition(code, extended)
+    assert res.bipartite == two_colourable
+    near = (0, 2) if extended else (0, 1, 2)
+    if res.bipartite:
+        assert sorted(w.key for p in res.parts for w in p.words) == [w.key for w in code.words]
+        for part in res.parts:
+            for i, a in enumerate(part.words):
+                assert all(hamming_distance(a, b) not in near for b in part.words[i + 1:])
+    else:
+        cycle = res.odd_cycle
+        assert len(cycle) % 2 == 1
+        assert all(hamming_distance(cycle[i - 1], cycle[i]) in near for i in range(len(cycle)))
+
+
+@pytest.fixture(scope="module")
+def reference_samples(all_pairs):
+    rng = random.Random(31)
+    plain = [constructions.hamming_coset_union(3, 2), Code.from_strings(["000", "111", "100", "011"], 2)]
+    plain += [constructions.puncture_last(pair[1]) for pair in all_pairs.values()]
+    extended = [constructions.diagonal_unitrade(6), constructions.l_star(6), constructions.l_star(8),
+                constructions.concatenate(constructions.l_star(6), constructions.diagonal_unitrade(2))]
+    extended += [pair[1] for pair in all_pairs.values()]
+    others = [pair[0] for pair in all_pairs.values()] + [constructions.mds_code(3, 4),
+                                                          constructions.hamming_code_q(3)]
+    for q, n in ((2, 6), (2, 9), (3, 4), (4, 3), (7, 2)):
+        code = random_code(rng, n, 15, q)
+        others.append(Code(code.space, list(code.words) + list(code.words[:5])))
+    return plain, extended, others
+
+
+class TestKeyKernelsAgainstReferences:
+    def test_distances(self, reference_samples):
+        plain, extended, others = reference_samples
+        x_rng = random.Random(32)
+        for code in plain + extended + others:
+            x = code.words[x_rng.randrange(len(code))] + code.words[0]
+            data = distance_data(code, x)
+            assert data.B == ref_b(code)
+            assert data.A_x == tuple(sum(1 for c in code.words if hamming_distance(c, x) == i)
+                                     for i in range(code.space.n + 1))
+            assert inner_radius(code) == ref_inner_radius(code)
+
+    def test_conflicts_splits_and_components(self, reference_samples):
+        plain, extended, others = reference_samples
+        for group, ext in ((plain, False), (extended, True), (others, False), (others, True)):
+            for code in group:
+                if code.space.q > 2 and ext:
+                    continue
+                assert _conflict_adjacency(code, ext) == ref_conflicts(code, ext)
+                check_bipartition(code, ext)
+                if group is not others:
+                    got = primary_components(code, ext)
+                    assert sorted([w.key for w in c.words] for c in got) == ref_components(code, ext)
+
+    def test_pair_profiles(self, reference_samples):
+        _, extended, _ = reference_samples
+        for t in extended:
+            t0 = t.translate(t.words[-1])
+            prof = pair_profile(t0)
+            got = (prof.n, prof.total, prof.weight_counts, prof.minus, prof.star, prof.plus)
+            assert got == ref_pair_profile(t0)
+
+    def test_reducibility_factors(self, reference_samples):
+        _, extended, _ = reference_samples
+        d2, d4 = constructions.diagonal_unitrade(2), constructions.diagonal_unitrade(4)
+        samples = extended + [constructions.concatenate(d4, d4),
+                              constructions.concatenate(constructions.concatenate(d2, d4), d2)]
+        kinds = []
+        for t in samples:
+            cert = reducibility_certificate(t)
+            kinds.append(cert.kind)
+            if cert.kind != "factorization":
+                continue
+            symbols = {w.symbols for w in t.words}
+            for coords, factor in zip(cert.factor_coords, cert.factors):
+                assert [w.symbols for w in factor.words] == sorted(
+                    {tuple(s[c] for c in coords) for s in symbols})
+            left, right = cert.factor_coords
+            rebuilt = set()
+            for u in cert.factors[0].words:
+                for v in cert.factors[1].words:
+                    s = [0] * t.space.n
+                    for c, x in zip(left + right, u.symbols + v.symbols):
+                        s[c] = x
+                    rebuilt.add(tuple(s))
+            assert rebuilt == symbols
+        assert kinds.count("factorization") == 4
+
+    def test_weight_distribution_space_check(self):
+        code = Code.from_strings(["000", "011"], 2)
+        with pytest.raises(ValueError):
+            weight_distribution(code, Word.from_string("000", 3))
+        assert weight_distribution(code, Word(Space(3, 2), 0)) == (1, 0, 1, 0)

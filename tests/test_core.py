@@ -243,3 +243,88 @@ class TestTextFormat:
             parse_code("2 3\n01\n")
         with pytest.raises(ValueError):
             parse_code("2\n")
+
+
+def reference_text(w: Word) -> str:
+    return "".join(str(s) for s in w.symbols)
+
+
+def random_multiset(rng: random.Random, space: Space, size: int) -> Code:
+    """Random words of the space, about a third of them repeated."""
+    words = [Word.from_symbols([rng.randrange(space.q) for _ in range(space.n)], space.q)
+             for _ in range(size)]
+    words += rng.sample(words, size // 3)
+    return Code(space, words)
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("bad", ["٠١١", "０１１", "0_1", "+01", "0 1", "01²", "-01"])
+    def test_only_ascii_digits_are_symbols(self, bad):
+        with pytest.raises(ValueError):
+            parse_code(f"2 3\n{bad}\n")
+        with pytest.raises(ValueError):
+            Word.from_string(bad, 2)
+        with pytest.raises(ValueError):
+            Word.from_string(bad, 10)
+        with pytest.raises(ValueError):
+            Code.from_strings(["011", bad], 3)
+
+    @pytest.mark.parametrize("header", ["٢ ٣", "2 ３", "+2 3", "2 3_0", "2 x"])
+    def test_header_takes_ascii_numbers_only(self, header):
+        with pytest.raises(ValueError, match="bad header"):
+            parse_code(f"{header}\n011\n")
+
+    def test_symbol_beyond_the_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet 0..2"):
+            parse_code("3 2\n01\n13\n")
+        with pytest.raises(ValueError, match="has length"):
+            parse_code("3 2\n01\n1\n012\n")
+
+    def test_format_parse_round_trip_with_repeats(self):
+        rng = random.Random(11)
+        for q in range(2, 11):
+            for n in (1, 3, 5):
+                code = random_multiset(rng, Space(n, q), 12)
+                text = format_code(code)
+                lines = [f"{q} {n}"] + [reference_text(w) for w in code.words]
+                assert text == "\n".join(lines) + "\n"
+                again = parse_code(text)
+                assert again == code and again.duplicate_words() == code.duplicate_words()
+                assert [str(w) for w in again.words] == lines[1:]
+
+    def test_from_bits_rejects_bad_keys(self):
+        space = Space(4, 2)
+        for keys in ([-1], [16], [0, 1 << 4], ["1"], [1.0], [None], [b"\x01"]):
+            with pytest.raises(ValueError):
+                Code.from_bits(space, keys)
+        assert [w.key for w in Code.from_bits(space, [15, 0, 15]).words] == [0, 15, 15]
+        with pytest.raises(ValueError):
+            Code.from_bits(Space(4, 3), [0])
+
+    def test_equal_but_distinct_spaces(self):
+        a, b = Space(5, 3), Space(5, 3)
+        assert a is not b
+        x, y = Word(a, b"\x00\x01\x02\x00\x01"), Word(b, b"\x02\x01\x02\x00\x00")
+        assert hamming_distance(x, y) == 2 and x + y == Word(a, b"\x02\x02\x01\x00\x01")
+        code = Code(a, [x, y])
+        assert code == Code(b, [y, x]) and y in code and code.multiplicity(y) == 1
+        for other in (Space(5, 4), Space(6, 3)):
+            z = other.zero()
+            with pytest.raises(ValueError):
+                hamming_distance(x, z)
+            with pytest.raises(ValueError):
+                Code(a, [x, z])
+
+    def test_membership_matches_old_definitions(self):
+        rng = random.Random(12)
+        for q, n in ((2, 4), (2, 7), (3, 3), (5, 2)):
+            space = Space(n, q)
+            for size in (0, 1, 6, 20):
+                code = random_multiset(rng, space, size)
+                for w in Space(n, q):
+                    w = Word(Space(n, q), w.key)  # an equal, distinct space object
+                    assert (w in code) == (w in set(code.words))
+                    assert code.multiplicity(w) == sum(1 for x in code.words if x == w)
+                for foreign in (Space(n + 1, q).zero(), Space(n, q + 1).zero(), "0" * n, None):
+                    assert foreign not in code
+                    assert code.multiplicity(foreign) == 0
