@@ -158,12 +158,6 @@ class MixedWord:
             tuple((a + b) % 4 for a, b in zip(self.z4, other.z4)),
         )
 
-    def scaled(self, c: int) -> "MixedWord":
-        return MixedWord(
-            tuple((c * a) % 2 for a in self.z2),
-            tuple((c * a) % 4 for a in self.z4),
-        )
-
     def __str__(self) -> str:
         return "".join(map(str, self.z2)) + "|" + "".join(map(str, self.z4))
 
@@ -187,20 +181,6 @@ class MixedMatrix:
         if not rows:
             raise ValueError("empty mixed matrix")
         return cls(len(rows[0].z2), len(rows[0].z4), rows)
-
-    def format(self) -> str:
-        head = f"z2 {self.binary_cols} z4 {self.quaternary_cols}"
-        return "\n".join([head] + [str(r) for r in self.rows]) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "MixedMatrix":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "z2" or head[2] != "z4":
-            raise ValueError(f"bad mixed matrix header {lines[0]!r}: expected 'z2 <b> z4 <k>'")
-        b, k = int(head[1]), int(head[3])
-        rows = tuple(MixedWord.from_string(ln) for ln in lines[1:])
-        return cls(b, k, rows)
 
 
 def gray_map(w: MixedWord) -> Word:

@@ -148,14 +148,6 @@ def is_equitable(
     return matrix, None
 
 
-def make_partition(space: Space, cells: Sequence[Iterable[int] | Code]) -> Partition:
-    cell_sets = tuple(
-        frozenset(w.key for w in c) if isinstance(c, Code) else frozenset(c) for c in cells
-    )
-    matrix, _ = is_equitable(space, cell_sets)
-    return Partition(space, cell_sets, matrix)
-
-
 def distance_cells(code: Code) -> list[frozenset[int]]:
     """Vertex layers by exact distance to the code (BFS from the support)."""
     space = code.space

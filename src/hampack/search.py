@@ -18,7 +18,8 @@ member to zero, then permute its neighbor matching onto the aligned
 pairs), so the enumeration is complete.  Every word lies in n cliques
 and a unitrade meets each clique it touches in exactly two words, so a
 branch that has touched k cliques has no completion below ⌈2k/n⌉ words;
-the minimum-size search and capped classifications cut on this bound.
+capped enumerations cut on this bound.  The minimum size of a unitrade
+is the least size that an enumeration capped at 2^(n/2) words finds.
 
 Isomorphs are rejected as early as is safe, under the seed group G: the
 coordinate permutations that preserve the seed, i.e. the aligned pairs
@@ -58,14 +59,13 @@ cannot hold one more codeword than the best packing found.
 from __future__ import annotations
 
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .analysis import _bipartition, _reducibility, is_antipodal, is_extended_unitrade
 from .bounds import lp_bound
@@ -281,7 +281,7 @@ class _Engine:
         self.cund = bytearray([n]) * len(self.clique_members)
         self.in_count = 0
         self.touched = 0  # cliques holding at least one chosen word
-        self.nodes = 0  # _search calls
+        self.nodes = 0  # search nodes visited
         self.fronts: list[int] = []
         self.trail: list[int] = []
 
@@ -419,40 +419,33 @@ class _Engine:
         return decisions
 
 
-def _search(engine: _Engine, out: list, min_tracker: Optional[list[int]] = None) -> None:
-    """Exhaustive DFS from the current engine state.
+def _node(engine: _Engine, out: list) -> Iterator[None]:
+    """One node of the exhaustive DFS from the current engine state.
 
-    Records every unitrade extending the current state into ``out``,
-    or, with a tracker, only maintains the minimum cardinality seen.
+    Records the unitrade closed at the node into ``out``, and yields once
+    per child with the child's decision applied; the caller searches the
+    child before resuming, and the node undoes its decisions itself.
 
     A unitrade T touches each clique it meets in exactly two words, and
     each word lies in n cliques, so |T|·n = 2·touched(T).  Touched cliques
     stay touched along a branch, so every completion has at least
-    ⌈2·touched/n⌉ words; a branch whose bound reaches the tracked minimum
-    or exceeds the cardinality cap is cut.
+    ⌈2·touched/n⌉ words; a branch whose bound exceeds the cardinality cap
+    is cut.
     """
     engine.nodes += 1
     limit = engine.max_cardinality
-    if min_tracker is not None or limit is not None:
-        lower = -(-2 * engine.touched // engine.n)
-        if min_tracker is not None and lower >= min_tracker[0] or limit is not None and lower > limit:
-            return
+    if limit is not None and -(-2 * engine.touched // engine.n) > limit:
+        return
     cands = engine.pick_front()
     if cands is not None:
         for mj in cands:
             mk = engine.mark()
             if engine.assign(mj, engine.IN):
-                _search(engine, out, min_tracker)
+                yield
             engine.undo(mk)
         return
     # quiescent: the current in-set is a complete extended unitrade
-    if min_tracker is None:
-        out.append(engine.in_keys())
-    else:
-        if engine.in_count < min_tracker[0]:
-            min_tracker[0] = engine.in_count
-        if engine.in_count + 1 >= min_tracker[0]:
-            return
+    out.append(engine.in_keys())
     if limit is not None and engine.in_count >= limit:
         return
     # extensions, partitioned by the smallest newly added word
@@ -462,31 +455,23 @@ def _search(engine: _Engine, out: list, min_tracker: Optional[list[int]] = None)
             continue
         mk = engine.mark()
         if engine.assign(w, engine.IN):
-            _search(engine, out, min_tracker)
+            yield
         engine.undo(mk)
         if not engine.assign(w, engine.OUT):
             break
     engine.undo(frame)
 
 
-def _seeded_search(
-    engine: _Engine,
-    decisions: Sequence[tuple[int, int]],
-    out: list,
-    min_tracker: Optional[list[int]] = None,
-) -> bool:
-    """Apply the seed and then the decisions to a fresh engine, and search
-    below them; False, without a search, if they contradict."""
-    for idx, val in [*engine.seed_decisions(), *decisions]:
-        if not engine.assign(idx, val):
-            return False
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(100000)
-    try:
-        _search(engine, out, min_tracker)
-    finally:
-        sys.setrecursionlimit(old)
-    return True
+def _search(engine: _Engine, out: list) -> None:
+    """Exhaustive DFS from the current engine state, recording every
+    unitrade that extends it into ``out``.  An explicit stack of nodes
+    keeps the depth off the interpreter's call stack."""
+    stack = [_node(engine, out)]
+    while stack:
+        if next(stack[-1], True) is None:  # a child's decision is applied
+            stack.append(_node(engine, out))
+        else:
+            stack.pop()
 
 
 def _enumerate_with_seed(
@@ -495,10 +480,12 @@ def _enumerate_with_seed(
     max_cardinality: Optional[int] = None,
     decisions: Sequence[tuple[int, int]] = (),
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Every unitrade below the seed and the decisions, and the search nodes."""
+    """Every unitrade below the seed and the decisions, and the search
+    nodes; nothing, and no node, if the decisions contradict the seed."""
     engine = _Engine(n, antipodal_only, max_cardinality)
     out: list[tuple[int, ...]] = []
-    _seeded_search(engine, decisions, out)
+    if all(engine.assign(idx, val) for idx, val in [*engine.seed_decisions(), *decisions]):
+        _search(engine, out)
     return out, engine.nodes
 
 
@@ -832,21 +819,24 @@ def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
 # ---------------------------------------------------------------------------
 
 def min_extended_unitrade_size(n: int) -> int:
-    """Exact minimum cardinality of a nonempty extended unitrade, by search."""
+    """Exact minimum cardinality of a nonempty extended unitrade: the least
+    size that a capped enumeration finds.
+
+    A run capped at c words lists a member of every class of at most c
+    words, so its least size is the minimum once it finds any.  The cap
+    starts at 2^(n/2), the size of the diagonal {(x, x)}, which is an
+    extended unitrade, and doubles while nothing is found.
+    """
     if n % 2 or not 2 <= n <= _MAX_N:
         raise ValueError(f"supported lengths are even n in 2..{_MAX_N}")
     if n == 2:
         return 2  # both unitrades of length 2 have two words
-    return _min_unitrade_search(n)[0]
-
-
-def _min_unitrade_search(n: int) -> tuple[int, int]:
-    """Minimum unitrade cardinality at even n >= 4, and the search nodes visited."""
-    engine = _Engine(n)
-    tracker = [1 << n]
-    if not _seeded_search(engine, (), [], tracker):
-        raise AssertionError("the seed configuration cannot fail")
-    return tracker[0], engine.nodes
+    cap = 1 << (n // 2)
+    while True:
+        solutions = _run_enumeration(SearchConfig(n=n, max_cardinality=cap))[0]
+        if solutions:
+            return min(map(len, solutions))
+        cap *= 2
 
 
 def max_packing_size(n: int, q: int, lam: int, r: int) -> int:

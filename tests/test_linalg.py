@@ -215,19 +215,6 @@ class TestPropelinear:
 
 
 class TestMixedMatrixFormat:
-    def test_round_trip(self):
-        m = embedded_data().gen3
-        again = MixedMatrix.parse(m.format())
-        assert again == m
-
-    def test_header(self):
-        text = embedded_data().check2.format()
-        assert text.splitlines()[0] == "z2 4 z4 3"
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            MixedMatrix.parse("z4 3 z2 4\n000|11\n")
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             MixedMatrix(1, 2, (MixedWord((0, 1), (0,)),))

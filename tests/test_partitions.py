@@ -8,9 +8,9 @@ from hampack.partitions import (
     FIVE_CELL_MATRIX,
     FIVE_CELL_SIZES,
     IntersectionMatrix,
+    Partition,
     distance_partition,
     is_equitable,
-    make_partition,
     partition_from_unitrade,
     split_distance3_cell,
 )
@@ -136,8 +136,10 @@ class TestPartitionFromUnitrade:
 
     def test_make_partition_helper(self):
         space = Space(3, 2)
-        part = make_partition(space, [[0], [1, 2, 4], [3, 5, 6], [7]])
-        assert part.equitable
-        assert part.cell_sizes == (1, 3, 3, 1)
-        not_eq = make_partition(space, [[0, 7], [1, 2, 4], [3, 5, 6]])
-        assert not not_eq.equitable
+        for cells, equitable in (([[0], [1, 2, 4], [3, 5, 6], [7]], True),
+                                 ([[0, 7], [1, 2, 4], [3, 5, 6]], False)):
+            cells = tuple(frozenset(c) for c in cells)
+            matrix, witness = is_equitable(space, cells)
+            part = Partition(space, cells, matrix)
+            assert part.equitable == equitable and (witness is None) == equitable
+            assert part.cell_sizes == tuple(len(c) for c in cells)

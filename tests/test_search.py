@@ -1,7 +1,9 @@
 """Canonical forms, classification, and the exact search oracles."""
 
+import hashlib
 import json
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -19,15 +21,12 @@ from hampack.core import MAX_Q, Code, Space, Word, ball
 from hampack.search import (
     EquivalenceClass,
     SearchConfig,
-    _Engine,
     _OrbitSieve,
     _canonical_search,
     _enumerate_with_seed,
     _max_packing_search,
-    _min_unitrade_search,
     _run_enumeration,
     _seed_group,
-    _seeded_search,
     are_equivalent,
     canonical_form,
     classify_extended_unitrades,
@@ -306,15 +305,31 @@ class TestClassifySmall:
 
     def test_search_nodes_with_cardinality_cap(self):
         # without the touched-clique bound this run visited 501 nodes
-        engine = _Engine(8, max_cardinality=16)
-        out = []
-        assert _seeded_search(engine, (), out)
+        out, nodes = _enumerate_with_seed(8, max_cardinality=16)
         assert {len(t) for t in out} == {16}
-        assert engine.nodes == 321 and engine.nodes < 501
+        assert nodes == 321 and nodes < 501
         # without a cap nothing is cut
-        engine = _Engine(8)
-        assert _seeded_search(engine, (), [])
-        assert engine.nodes == 718
+        assert _enumerate_with_seed(8)[1] == 718
+
+    @pytest.mark.parametrize("kw,count,nodes,digest", [
+        ({}, 218, 718, "c79ea78f9f1e0b21"),
+        ({"max_cardinality": 16}, 1, 321, "77bb6d506b46078d"),
+        ({"antipodal_only": True}, 58, 102, "5b8f69d92492b13e"),
+    ])
+    def test_solution_order(self, kw, count, nodes, digest):
+        # a digest of the solution list pins the order in which the DFS
+        # visits its nodes, not only what it finds
+        solutions, visited = _enumerate_with_seed(8, **kw)
+        assert (len(solutions), visited) == (count, nodes)
+        assert hashlib.sha256(repr(solutions).encode()).hexdigest()[:16] == digest
+
+    def test_search_leaves_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the search changed the process-wide recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert _enumerate_with_seed(8)[1] == 718
+        assert min_extended_unitrade_size(8) == 16
 
     def test_unit_rejection_work_counts(self):
         # one plain search below the seed visits 718, 321 and 102 nodes
@@ -450,11 +465,6 @@ class TestMinUnitradeSize:
         for n in (4, 6, 8):
             classes = classify_extended_unitrades(SearchConfig(n=n))
             assert min_extended_unitrade_size(n) == min(c.cardinality for c in classes)
-
-    def test_search_nodes(self):
-        # without the touched-clique bound this search visited 649 nodes
-        size, nodes = _min_unitrade_search(8)
-        assert (size, nodes) == (16, 225) and nodes < 649
 
 
 def brute_force_max_packing(n: int, q: int, lam: int, r: int) -> int:
