@@ -9,10 +9,11 @@ The central objects being verified:
   * extended 1-perfect unitrades: constant-parity binary sets where the
     balls centered at opposite-parity words meet the set in 0 or 2.
 
-For n >= 5 the extended property has an equivalent reading inside the
-halved n-cube (vertices = one parity class, adjacency = distance 2):
-the set induces a subgraph of degree exactly n/2 with no triangles.
-``is_extended_unitrade`` evaluates both readings and insists they agree.
+For n >= 5 the extended property of a set without repeated words has
+an equivalent reading inside the halved n-cube (vertices = one parity
+class, adjacency = distance 2): the set induces a subgraph of degree
+exactly n/2 with no triangles.  ``is_extended_unitrade`` evaluates both
+readings on such sets and insists they agree.
 
 All distributions (distance distribution, MacWilliams transform) are
 computed in exact rational arithmetic, so nonnegativity of the dual
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import Code, Space, Word, _check_same_space, _code, _word, ball, hamming_distance
 
@@ -76,8 +77,8 @@ def verify_packing(code: Code, lam: int, r: int, force_full_scan: bool = False) 
     maximum whenever the code is nonempty; the full-space scan is kept
     for small spaces and as a cross-check.
     """
-    if lam < 1:
-        raise ValueError("lambda must be a positive integer")
+    if type(lam) is not int or lam < 1:
+        raise ValueError("lambda must be a positive int")
     space = code.space
     if not 0 <= r <= space.n:
         raise ValueError(f"radius {r} out of range 0..{space.n}")
@@ -116,21 +117,11 @@ def is_unitrade(t_set: Code) -> CheckResult:
     return CheckResult(True, None)
 
 
-def _parity_of(code: Code) -> Optional[int]:
-    parities = {w.parity for w in code.words}
-    if len(parities) > 1:
-        raise ValueError("mixed-parity input: not a candidate extended unitrade")
-    return parities.pop() if parities else None
-
-
 def _halved_cube_check(t_set: Code) -> bool:
     """Degree-n/2, triangle-free reading inside the halved n-cube."""
     n = t_set.space.n
-    keys = [w.key for w in t_set.words]
-    key_set = set(keys)
-    if len(key_set) != len(keys):
-        return False
-    for k in keys:
+    key_set = set(t_set.keys)
+    for k in t_set.keys:
         nbrs = [m for m in key_set if (k ^ m).bit_count() == 2]
         if 2 * len(nbrs) != n:
             return False
@@ -144,24 +135,26 @@ def _halved_cube_check(t_set: Code) -> bool:
 def is_extended_unitrade(t_set: Code) -> CheckResult:
     """Constant-parity set meeting opposite-parity balls in 0 or 2 words.
 
-    For n >= 5 the definitional ball scan is cross-checked against the
-    halved-cube characterization; disagreement would be an internal
-    error and raises.
+    For n >= 5 and no repeated word the definitional ball scan is
+    cross-checked against the halved-cube characterization; disagreement
+    would be an internal error and raises.  Balls count repeated words
+    with multiplicity, as in ``is_unitrade``.
     """
     space = t_set.space
     if space.q != 2:
         raise ValueError("extended unitrades are defined for q=2 only")
-    _parity_of(t_set)  # raises on mixed parity
+    if len({k.bit_count() & 1 for k in t_set.keys}) > 1:
+        raise ValueError("mixed-parity input: not a candidate extended unitrade")
     # relevant ball centers are the opposite-parity words adjacent to members
     counts: dict = {}
     n = space.n
-    for t in t_set.words:
+    for t in t_set.keys:
         for b in range(n):
-            c = t.key ^ (1 << b)
+            c = t ^ (1 << b)
             counts[c] = counts.get(c, 0) + 1
     bad = [k for k, v in counts.items() if v != 2]
     verdict = not bad
-    if space.n >= 5 and len(t_set) > 0:
+    if space.n >= 5 and len(set(t_set.keys)) == len(t_set) > 0:
         alt = _halved_cube_check(t_set)
         if alt != verdict:
             raise AssertionError("ball scan and halved-cube characterization disagree")
@@ -175,7 +168,7 @@ def is_antipodal(t_set: Code) -> bool:
     if t_set.space.q != 2:
         raise ValueError("antipodality is defined for q=2 only")
     mask = (1 << t_set.space.n) - 1
-    keys = {w.key for w in t_set.words}
+    keys = set(t_set.keys)
     return all((k ^ mask) in keys for k in keys)
 
 
@@ -198,30 +191,29 @@ class Bipartition:
         return self.bipartite
 
 
-def _distance_rows(space: Space, words: tuple[Word, ...], others: tuple[Word, ...]):
-    """For each word, the list of its distances to ``others``, on keys.
+def _distance_rows(space: Space, keys: Sequence[int | bytes], others: Sequence[int | bytes]):
+    """For each key, the list of its distances to the keys ``others``.
 
     q-ary symbols are spread one-hot over q bits, so for every q the
     distance is the popcount of an XOR (halved when q > 2).
     """
-    if space.q == 2:
-        keys, cols, shift = [w.key for w in words], [w.key for w in others], 0
-    else:
+    shift = 0 if space.q == 2 else 1
+    if shift:
         q = space.q
 
         def spread(key: bytes) -> int:
             return sum(1 << (q * i + s) for i, s in enumerate(key))
 
-        keys, cols, shift = [spread(w.key) for w in words], [spread(w.key) for w in others], 1
+        keys, others = [spread(k) for k in keys], [spread(k) for k in others]
     for a in keys:
-        yield [(a ^ b).bit_count() >> shift for b in cols]
+        yield [(a ^ b).bit_count() >> shift for b in others]
 
 
 def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
     """Neighbours j != i (increasing) of each word: distance 0 or 2, or 1 unless extended."""
     near = {0, 2} if extended else {0, 1, 2}
     return [[j for j, d in enumerate(row) if d in near and j != i]
-            for i, row in enumerate(_distance_rows(code.space, code.words, code.words))]
+            for i, row in enumerate(_distance_rows(code.space, code.keys, code.keys))]
 
 
 def _require_unitrade(t_set: Code, extended: bool) -> None:
@@ -244,8 +236,8 @@ def is_bipartite_unitrade(t_set: Code, extended: bool) -> Bipartition:
 
 def _bipartition(t_set: Code, extended: bool) -> Bipartition:
     """The 2-coloring of ``is_bipartite_unitrade``, for a known unitrade."""
-    words = t_set.words
-    m = len(words)
+    keys = t_set.keys
+    m = len(keys)
     adj = _conflict_adjacency(t_set, extended)
     color = [-1] * m
     parent = [-1] * m
@@ -263,9 +255,9 @@ def _bipartition(t_set: Code, extended: bool) -> Bipartition:
                     queue.append(v)
                 elif color[v] == color[u]:
                     cycle = _odd_cycle(u, v, parent)
-                    return Bipartition(None, tuple(words[i] for i in cycle))
-    part0 = Code(t_set.space, [w for w, c in zip(words, color) if c == 0])
-    part1 = Code(t_set.space, [w for w, c in zip(words, color) if c == 1])
+                    return Bipartition(None, tuple(_word(t_set.space, keys[i]) for i in cycle))
+    part0 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 0])
+    part1 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 1])
     return Bipartition((part0, part1), None)
 
 
@@ -292,11 +284,11 @@ def primary_components(t_set: Code, extended: bool) -> list[Code]:
     connected components of that relation, each a unitrade itself.
     """
     _require_unitrade(t_set, extended)
-    words = t_set.words
+    keys = t_set.keys
     adj = _conflict_adjacency(t_set, extended)
-    comp = [-1] * len(words)
+    comp = [-1] * len(keys)
     pieces: list[Code] = []
-    for start in range(len(words)):
+    for start in range(len(keys)):
         if comp[start] != -1:
             continue
         comp[start] = len(pieces)
@@ -308,8 +300,8 @@ def primary_components(t_set: Code, extended: bool) -> list[Code]:
                     comp[v] = comp[start]
                     stack.append(v)
                     members.append(v)
-        pieces.append(Code(t_set.space, [words[i] for i in members]))
-    pieces.sort(key=lambda c: [w.key for w in c.words])
+        pieces.append(_code(t_set.space, [keys[i] for i in members]))
+    pieces.sort(key=lambda c: c.keys)
     return pieces
 
 
@@ -334,10 +326,10 @@ def _project(t_set: Code, coords: tuple[int, ...]) -> Code:
     """The set of words restricted to the coordinates (binary)."""
     shifts = [t_set.space.n - 1 - c for c in coords]
     keys = set()
-    for w in t_set.words:
+    for k in t_set.keys:
         sub = 0
         for s in shifts:
-            sub = (sub << 1) | ((w.key >> s) & 1)
+            sub = (sub << 1) | ((k >> s) & 1)
         keys.add(sub)
     return _code(Space(len(coords), 2), keys)
 
@@ -362,7 +354,7 @@ def _reducibility(t_set: Code) -> Reducibility:
             a = parent[a]
         return a
 
-    keys = [w.key for w in t_set.words]
+    keys = t_set.keys
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
             diff = a ^ b
@@ -425,7 +417,7 @@ def weight_distribution(code: Code, x: Word) -> tuple[int, ...]:
     """A_i(x): codewords (with multiplicity) at distance i from x."""
     _check_same_space(code, x)
     counts = [0] * (code.space.n + 1)
-    for d in next(_distance_rows(code.space, (x,), code.words)):
+    for d in next(_distance_rows(code.space, (x.key,), code.keys)):
         counts[d] += 1
     return tuple(counts)
 
@@ -444,7 +436,7 @@ def distance_data(code: Code, x: Optional[Word] = None) -> DistanceData:
         raise ValueError("distance distribution of an empty code is undefined")
     n = code.space.n
     pair_counts = [0] * (n + 1)
-    for row in _distance_rows(code.space, code.words, code.words):
+    for row in _distance_rows(code.space, code.keys, code.keys):
         for d in row:
             pair_counts[d] += 1
     size = len(code)
@@ -470,7 +462,7 @@ def oa_strength1_check(t_set: Code) -> bool:
     n = t_set.space.n
     m = len(t_set)
     for i in range(n):
-        ones = sum((w.key >> (n - 1 - i)) & 1 for w in t_set.words)
+        ones = sum((k >> (n - 1 - i)) & 1 for k in t_set.keys)
         if 2 * ones != m:
             return False
     return True
@@ -487,7 +479,7 @@ def inner_radius(t_set: Code) -> int:
     """min over members of the max distance to other members."""
     if len(t_set) == 0:
         raise ValueError("inner radius of an empty set is undefined")
-    return min(map(max, _distance_rows(t_set.space, t_set.words, t_set.words)))
+    return min(map(max, _distance_rows(t_set.space, t_set.keys, t_set.keys)))
 
 
 @dataclass(frozen=True)
@@ -518,12 +510,12 @@ def pair_profile(t_set: Code) -> PairProfile:
     if space.zero() not in t_set:
         raise ValueError("translate the unitrade so that it contains the all-zero word")
     n = space.n
-    weights = [w.key.bit_count() for w in t_set.words]
+    weights = [k.bit_count() for k in t_set.keys]
     w_counts = [weights.count(i) for i in range(n + 1)]
     minus = [0] * (n + 1)
     star = [0] * (n + 1)
     plus = [0] * (n + 1)
-    rows = _distance_rows(space, t_set.words, t_set.words)
+    rows = _distance_rows(space, t_set.keys, t_set.keys)
     for wa, row in zip(weights, rows):
         for wb, d in zip(weights, row):
             if d != 2:

@@ -260,11 +260,9 @@ def concatenate(left: Code, right: Code) -> Code:
     for part in (left, right):
         if not is_extended_unitrade(part).ok:
             raise ValueError("concatenation requires extended 1-perfect unitrades")
-    if len(left) == 0 or len(right) == 0:
-        return Code(Space(left.space.n + right.space.n, 2), [])
     n_right = right.space.n
     space = Space(left.space.n + n_right, 2)
-    return _code(space, ((u.key << n_right) | v.key for u in left.words for v in right.words))
+    return _code(space, ((u << n_right) | v for u in left.keys for v in right.keys))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def extend_parity(code: Code) -> Code:
     if code.space.q != 2:
         raise ValueError("parity extension is defined for q=2 only")
     space = Space(code.space.n + 1, 2)
-    return _code(space, ((w.key << 1) | w.parity for w in code.words))
+    return _code(space, ((k << 1) | (k.bit_count() & 1) for k in code.keys))
 
 
 def puncture_last(code: Code) -> Code:
@@ -285,8 +283,8 @@ def puncture_last(code: Code) -> Code:
         raise ValueError("cannot puncture length-1 words")
     space = Space(code.space.n - 1, code.space.q)
     if code.space.q == 2:
-        return _code(space, (w.key >> 1 for w in code.words))
-    return _code(space, (w.key[:-1] for w in code.words))
+        return _code(space, (k >> 1 for k in code.keys))
+    return _code(space, (k[:-1] for k in code.keys))
 
 
 def shorten(code: Code, coord: int, symbol: int) -> Code:
@@ -297,22 +295,19 @@ def shorten(code: Code, coord: int, symbol: int) -> Code:
     if not 0 <= symbol < q:
         raise ValueError(f"symbol {symbol} out of alphabet range")
     space = Space(n - 1, q)
-    kept = []
-    for w in code.words:
-        syms = w.symbols
-        if syms[coord] == symbol:
-            kept.append(_key(q, syms[:coord] + syms[coord + 1:]))
-    return _code(space, kept)
+    if q > 2:
+        return _code(space, (k[:coord] + k[coord + 1:] for k in code.keys if k[coord] == symbol))
+    shift = n - 1 - coord
+    low = (1 << shift) - 1
+    return _code(space, ((k >> 1 & ~low) | (k & low) for k in code.keys if k >> shift & 1 == symbol))
 
 
 def majority_shorten(code: Code, coord: int) -> Code:
     """Shorten at the coordinate's most frequent symbol (ties: smaller symbol)."""
-    counts: dict[int, int] = {}
-    for w in code.words:
-        s = w.symbols[coord]
-        counts[s] = counts.get(s, 0) + 1
-    best = max(sorted(counts), key=lambda s: counts[s])
-    return shorten(code, coord, best)
+    if len(code) == 0:
+        raise ValueError("an empty code has no most frequent symbol")
+    # shorten checks the coordinate; max keeps the first, smallest symbol
+    return max((shorten(code, coord, s) for s in range(code.space.q)), key=len)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +355,7 @@ def packing96_propelinear() -> tuple[Code, Code]:
     xi0, xi1, xi2 = data.xi_generators
     space = Space(10, 2)
     c0 = orbit([xi0, xi1, xi2], space.zero())
-    c4 = _code(space, {w.key for seed in data.orbit_seeds for w in orbit([xi1, xi2], seed).words})
+    c4 = _code(space, {k for seed in data.orbit_seeds for k in orbit([xi1, xi2], seed).keys})
     return c0, c4
 
 

@@ -10,8 +10,9 @@ unitrade machinery, searches) consumes the value types defined here:
            with coordinate 0 at the most significant bit, so integer
            order equals lexicographic order on digit strings; q-ary
            words are packed into bytes (bytes order is again lex order)
-  Code  -- an immutable multiset of words of a common space, stored
-           sorted, so equal codes compare equal and output is diffable
+  Code  -- an immutable multiset of words of a common space, stored as
+           one sorted tuple of keys, so equal codes compare equal and
+           output is diffable; ``Code.words`` is built on first use
 
 Multiplicities are kept on purpose: extremal arguments distinguish
 codes with repeated words, and verification reports duplicates rather
@@ -30,15 +31,16 @@ Input is checked at the boundary (``Word``, ``Word.from_*``, ``Code``,
 ``_code(space, keys)`` build without checks, on the invariant that each
 key is valid in that space (an int below 2^n for q = 2, else n bytes
 below q), being derived from valid keys or checked once per code.
+``_code`` only sorts its keys, and the library reads ``Code.keys``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from math import comb
-from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
 MAX_Q = 10         # digit-string I/O: one character per symbol
@@ -162,10 +164,7 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         """Coordinatewise addition mod q."""
         _check_same_space(self, other)
-        if self.space.q == 2:
-            return _word(self.space, self.key ^ other.key)
-        q = self.space.q
-        return _word(self.space, bytes((a + b) % q for a, b in zip(self.key, other.key)))
+        return _word(self.space, _add_keys(self.space.q, self.key, other.key))
 
     def __neg__(self) -> "Word":
         if self.space.q == 2:
@@ -177,7 +176,6 @@ class Word:
         return self + (-other)
 
 
-_word_key = attrgetter("key")
 _new_word = object.__new__
 _set_space = Word.space.__set__
 _set_key = Word.key.__set__
@@ -189,6 +187,11 @@ def _word(space: Space, key: int | bytes) -> Word:
     _set_space(w, space)
     _set_key(w, key)
     return w
+
+
+def _add_keys(q: int, a: int | bytes, b: int | bytes) -> int | bytes:
+    """The key of the coordinatewise sum mod q of two words."""
+    return a ^ b if q == 2 else bytes((x + y) % q for x, y in zip(a, b))
 
 
 def _check_same_space(x: Word | Code, y: Word) -> None:
@@ -250,17 +253,24 @@ def coverage_multiplicity(code: "Code", v: Word, r: int) -> int:
 
 
 class Code:
-    """An immutable multiset of words of one space, stored sorted."""
+    """An immutable multiset of words of one space, stored as sorted keys."""
 
-    __slots__ = ("space", "words")
+    __slots__ = ("space", "keys", "_words")
 
     def __init__(self, space: Space, words: Iterable[Word]):
-        ws = sorted(words, key=_word_key)
-        for w in ws:
+        keys = []
+        for w in words:
             if w.space is not space and w.space != space:
                 raise ValueError(f"word {w} does not live in {space}")
-        self.space = space
-        self.words = tuple(ws)
+            keys.append(w.key)
+        self.space, self.keys, self._words = space, tuple(sorted(keys)), None
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """The words in key order, built on first access."""
+        if self._words is None:
+            self._words = tuple([_word(self.space, k) for k in self.keys])
+        return self._words
 
     @classmethod
     def from_strings(cls, texts: Iterable[str], q: int) -> "Code":
@@ -271,7 +281,7 @@ class Code:
         return _code(space, _parse_keys(space, texts))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -280,28 +290,27 @@ class Code:
         return self.multiplicity(w) > 0
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Code) and self.space == other.space and self.words == other.words
+        return isinstance(other, Code) and self.space == other.space and self.keys == other.keys
 
     def __hash__(self) -> int:
-        return hash((self.space, self.words))
+        return hash((self.space, self.keys))
 
     def __repr__(self) -> str:
-        return f"Code(n={self.space.n}, q={self.space.q}, size={len(self.words)})"
+        return f"Code(n={self.space.n}, q={self.space.q}, size={len(self.keys)})"
 
     def multiplicity(self, w: Word) -> int:
         if not isinstance(w, Word) or (w.space is not self.space and w.space != self.space):
             return 0
-        lo = bisect_left(self.words, w.key, key=_word_key)
-        return bisect_right(self.words, w.key, lo, key=_word_key) - lo
+        lo = bisect_left(self.keys, w.key)
+        return bisect_right(self.keys, w.key, lo) - lo
 
     def duplicate_words(self) -> list[Word]:
-        """Distinct words occurring with multiplicity > 1."""
-        runs = (list(run) for _, run in groupby(self.words, key=_word_key))
-        return [run[0] for run in runs if len(run) > 1]
+        """Distinct words occurring with multiplicity > 1, in key order."""
+        return [_word(self.space, k) for k, m in Counter(self.keys).items() if m > 1]
 
     def support(self) -> "Code":
         """The underlying set (multiplicities dropped)."""
-        return _code(self.space, {w.key for w in self.words})
+        return _code(self.space, set(self.keys))
 
     @classmethod
     def from_bits(cls, space: Space, keys: Iterable[int]) -> "Code":
@@ -319,8 +328,7 @@ class Code:
 def _code(space: Space, keys: Iterable[int | bytes]) -> Code:
     """A Code from keys known to be valid in ``space``, built unchecked."""
     code = object.__new__(Code)
-    code.space = space
-    code.words = tuple([_word(space, k) for k in sorted(keys)])
+    code.space, code.keys, code._words = space, tuple(sorted(keys)), None
     return code
 
 
@@ -355,7 +363,7 @@ def _key_text(space: Space, key: int | bytes) -> str:
 def format_code(code: Code) -> str:
     space = code.space
     lines = [f"{space.q} {space.n}"]
-    lines.extend(_key_text(space, w.key) for w in code.words)
+    lines.extend(_key_text(space, k) for k in code.keys)
     return "\n".join(lines) + "\n"
 
 

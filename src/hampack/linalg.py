@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Code, Space, Word, _code, _word
+from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _word
 
 GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
@@ -90,12 +90,15 @@ def gf2_span(gens: BinaryMatrix | Sequence[Word], space: Space | None = None) ->
 
 def gf2_rank(code: Code | Sequence[Word]) -> int:
     """Dimension of the GF(2) span of the words."""
-    words = list(code)
+    if isinstance(code, Code):
+        keys, binary = code.keys, code.space.q == 2 or not code.keys
+    else:
+        words = list(code)
+        keys, binary = [w.key for w in words], all(w.space.q == 2 for w in words)
+    if not binary:
+        raise ValueError("gf2_rank requires q=2")
     basis: list[int] = []
-    for w in words:
-        if w.space.q != 2:
-            raise ValueError("gf2_rank requires q=2")
-        v = w.key
+    for v in keys:
         for b in basis:
             v = min(v, v ^ b)
         if v:
@@ -111,17 +114,20 @@ def coset_union(group_code: Code, reps: Sequence[Word]) -> Code:
     mod q (checked).  Representatives falling in a common coset collapse,
     with a warning, since the union is taken as a set.
     """
-    space = group_code.space
-    members = set(group_code.words)
+    space, q = group_code.space, group_code.space.q
+    members = set(group_code.keys)
     if len(members) != len(group_code):
         raise ValueError("coset carrier contains duplicate words")
-    if space.zero() not in members:
+    if space.zero().key not in members:
         raise ValueError("coset carrier is not a group: missing the zero word")
     for a in members:
         for b in members:
-            if a + b not in members:
-                raise ValueError(f"coset carrier is not closed under addition: {a} + {b}")
-    union = {(k + r).key for r in reps for k in members}
+            if _add_keys(q, a, b) not in members:
+                raise ValueError("coset carrier is not closed under addition: "
+                                 f"{_word(space, a)} + {_word(space, b)}")
+    for r in reps:
+        _check_same_space(group_code, r)
+    union = {_add_keys(q, k, r.key) for r in reps for k in members}
     if len(union) != len(reps) * len(members):
         warnings.warn("coset representatives are not in distinct cosets; duplicates collapsed")
     return _code(space, union)
@@ -309,7 +315,7 @@ def group_closure(gens: Sequence[PropelinearMap]) -> list[PropelinearMap]:
 
 def orbit(gens: Sequence[PropelinearMap], seed: Word) -> Code:
     """Orbit of a word under the group generated by the maps."""
-    seen = {seed.key: seed}
+    seen = {seed.key}
     frontier = [seed]
     while frontier:
         nxt = []
@@ -317,7 +323,7 @@ def orbit(gens: Sequence[PropelinearMap], seed: Word) -> Code:
             for g in gens:
                 y = g(x)
                 if y.key not in seen:
-                    seen[y.key] = y
+                    seen.add(y.key)
                     nxt.append(y)
         frontier = nxt
-    return Code(seed.space, seen.values())
+    return _code(seed.space, seen)

@@ -127,9 +127,7 @@ def is_equitable(
 ) -> tuple[Optional[IntersectionMatrix], Optional[Word]]:
     """Intersection matrix of the partition, or a witness vertex that breaks it."""
     _check_space(space)
-    cell_sets = tuple(
-        frozenset(w.key for w in c) if isinstance(c, Code) else frozenset(c) for c in cells
-    )
+    cell_sets = tuple(frozenset(c.keys if isinstance(c, Code) else c) for c in cells)
     idx = _cell_index(space, cell_sets)
     n, m = space.n, len(cell_sets)
     rows: list[Optional[tuple[int, ...]]] = [None] * m
@@ -156,7 +154,7 @@ def distance_cells(code: Code) -> list[frozenset[int]]:
         raise ValueError("distance partition of an empty code is undefined")
     n = space.n
     dist = [-1] * space.size
-    frontier = sorted({w.key for w in code.words})
+    frontier = sorted(set(code.keys))
     for k in frontier:
         dist[k] = 0
     layers = [frozenset(frontier)]
@@ -192,7 +190,7 @@ def split_distance3_cell(c0: Code, c4: Code) -> Partition:
     layers = distance_cells(c0)
     if len(layers) < 4:
         raise ValueError("the code has covering radius < 3: nothing to split")
-    c4_keys = frozenset(w.key for w in c4.words)
+    c4_keys = frozenset(c4.keys)
     if not c4_keys <= layers[3]:
         raise ValueError("the splitting cell is not contained in the distance-3 cell")
     cells: list[frozenset[int]] = list(layers[:3])
@@ -217,18 +215,17 @@ def partition_from_unitrade(t_set: Code) -> Optional[Partition]:
     _check_space(space)
     if space.n != 10:
         raise ValueError("the five-cell reconstruction is specific to length 10")
-    if len(t_set) != len(set(w.key for w in t_set.words)):
+    c4 = frozenset(t_set.keys)
+    if len(t_set) != len(c4):
         raise ValueError("unitrade input contains duplicate words")
     if len(t_set) != 96:
         raise ValueError(f"expected a 96-word unitrade, got {len(t_set)} words")
-    parities = {w.parity for w in t_set.words}
-    if parities != {1}:
+    if any(not k.bit_count() & 1 for k in c4):
         raise ValueError("expected an odd-parity unitrade; translate by an odd word first")
     if not is_extended_unitrade(t_set).ok:
         raise ValueError("input is not an extended 1-perfect unitrade")
 
     n = space.n
-    c4 = frozenset(w.key for w in t_set.words)
     odd = frozenset(k for k in range(space.size) if k.bit_count() & 1)
     even = frozenset(k for k in range(space.size) if not k.bit_count() & 1)
     c2 = frozenset(k ^ (1 << b) for k in c4 for b in range(n))

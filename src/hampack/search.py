@@ -158,31 +158,6 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
                 refined.append(ones)
         return v, tuple(refined)
 
-    def dfs(blocks: tuple[int, ...], remaining: frozenset[int], emitted: list[int]) -> None:
-        if stop or best is not None and emitted > best[: len(emitted)]:
-            return
-        if not remaining:
-            leaf(blocks, list(emitted))
-            return
-        if all(m.bit_count() == 1 for m in blocks):
-            # permutation fully determined: finish in one step
-            leaf(blocks, emitted + sorted(val_and_refinement(w, blocks)[0] for w in remaining))
-            return
-        lo: Optional[int] = None
-        options: list[tuple[int, tuple[int, ...]]] = []
-        for w in remaining:
-            v, refined = val_and_refinement(w, blocks)
-            if lo is None or v < lo:
-                lo, options = v, [(w, refined)]
-            elif v == lo:
-                options.append((w, refined))
-        assert lo is not None
-        emitted.append(lo)
-        if best is None or emitted <= best[: len(emitted)]:
-            for w, refined in options:
-                dfs(refined, remaining - {w}, emitted)
-        emitted.pop()
-
     # order translates so that a strong incumbent appears early
     translates = sorted(
         (sorted((k ^ t).bit_count() for k in key_set), t) for t in key_set
@@ -192,8 +167,31 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
         if find(t) in searched_roots:
             continue
         searched += 1
-        stop = False
-        dfs((full,), frozenset(k ^ t for k in key_set) - {0}, [0])
+        stop, emitted = False, [0]  # emitted: the prefix of the node's form
+        # depth first on an explicit stack, as the depth can reach the size
+        # of the set; a node is (blocks, parent's words, word taken, depth)
+        stack = [((full,), frozenset(k ^ t for k in key_set), 0, 1)]
+        while stack and not stop:
+            blocks, remaining, taken, depth = stack.pop()
+            del emitted[depth:]
+            if best is not None and emitted > best[:depth]:
+                continue
+            remaining = remaining - {taken}
+            if not remaining:
+                leaf(blocks, list(emitted))
+            elif all(m.bit_count() == 1 for m in blocks):
+                # permutation fully determined: finish in one step
+                leaf(blocks, emitted + sorted(val_and_refinement(w, blocks)[0] for w in remaining))
+            else:
+                lo, options = None, []
+                for w in remaining:
+                    v, refined = val_and_refinement(w, blocks)
+                    if lo is None or v < lo:
+                        lo, options = v, [(w, refined)]
+                    elif v == lo:
+                        options.append((w, refined))
+                emitted.append(lo)
+                stack.extend((refined, remaining, w, depth + 1) for w, refined in reversed(options))
         searched_roots.add(find(t))
     assert best is not None
     return tuple(best), searched
@@ -208,8 +206,8 @@ def _canonical_keys_cached(keys: tuple[int, ...], n: int) -> tuple[int, ...]:
 def _canonical_form_keys(t_set: Code) -> tuple[int, ...]:
     if t_set.space.q != 2:
         raise ValueError("canonical forms are implemented for q=2 only")
-    keys = tuple(sorted({w.key for w in t_set.words}))
-    if len(keys) != len(t_set.words):
+    keys = t_set.keys
+    if len(set(keys)) != len(keys):
         raise ValueError("canonical forms are defined for multiplicity-free sets")
     return _canonical_keys_cached(keys, t_set.space.n)
 
@@ -237,7 +235,7 @@ def are_equivalent(a: Code, b: Code) -> bool:
         raise ValueError("equivalence is implemented for q=2 only")
     if len(a) != len(b):
         return False
-    if _distance_profile([w.key for w in a.words]) != _distance_profile([w.key for w in b.words]):
+    if _distance_profile(a.keys) != _distance_profile(b.keys):
         return False
     return _canonical_form_keys(a) == _canonical_form_keys(b)
 
@@ -547,7 +545,7 @@ class EquivalenceClass:
 def has_constant_weight_translate(t_set: Code) -> bool:
     """Is some translate of the set constant-weight (equivalently: is the
     set at uniform distance from some word)?"""
-    keys = [w.key for w in t_set.words]
+    keys = t_set.keys
     if not keys:
         return True
     n = t_set.space.n
@@ -810,7 +808,7 @@ def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
                 reducibility_kind=red.kind,
             )
         )
-    result.sort(key=lambda cl: (cl.cardinality, [w.key for w in cl.representative.words]))
+    result.sort(key=lambda cl: (cl.cardinality, cl.representative.keys))
     return result
 
 

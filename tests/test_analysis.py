@@ -44,6 +44,13 @@ class TestVerifyPacking:
         report = verify_packing(Code(Space(4, 2), []), 1, 1)
         assert report.max_coverage == 0 and report.is_lambda_fold
 
+    def test_lambda_must_be_a_positive_int(self):
+        code = constructions.mds_code(3, 3)
+        for lam in (1.5, 3.0, 0, -1, True, "3", None):
+            with pytest.raises(ValueError, match="lambda"):
+                verify_packing(code, lam, 1)
+        assert verify_packing(code, 3, 1).is_lambda_fold
+
     def test_whole_tiny_space(self):
         space = Space(2, 2)
         report = verify_packing(Code.from_bits(space, range(4)), 3, 1)
@@ -121,6 +128,14 @@ class TestUnitradePredicates:
 
     def test_extended_rejects_singleton(self):
         assert not is_extended_unitrade(Code.from_strings(["0000"], 2)).ok
+
+    def test_repeated_words_count_with_multiplicity(self):
+        # a doubled word puts two words in each ball around it, for every n
+        for n in range(4, 9):
+            twice = Code.from_bits(Space(n, 2), [0, 0])
+            assert is_unitrade(twice).ok and is_extended_unitrade(twice).ok
+            thrice = Code.from_bits(Space(n, 2), [0, 0, 0])
+            assert not is_unitrade(thrice).ok and not is_extended_unitrade(thrice).ok
 
     def test_mixed_parity_rejected(self):
         with pytest.raises(ValueError):

@@ -232,6 +232,30 @@ class TestExtendPunctureShorten:
         with pytest.raises(ValueError):
             con.shorten(code, 0, 2)
 
+    def test_shorten_matches_symbol_definition(self):
+        rng = random.Random(50)
+        for q in (2, 3, 5):
+            for _ in range(15):
+                n = rng.randint(2, 6)
+                words = [Word.from_symbols([rng.randrange(q) for _ in range(n)], q) for _ in range(rng.randint(1, 12))]
+                code = Code(Space(n, q), words + words[:2])
+                for coord in range(n):
+                    for s in range(q):
+                        expect = sorted(w.symbols[:coord] + w.symbols[coord + 1:]
+                                        for w in code.words if w.symbols[coord] == s)
+                        assert [w.symbols for w in con.shorten(code, coord, s).words] == expect
+                    counts = [sum(w.symbols[coord] == s for w in code.words) for s in range(q)]
+                    best = counts.index(max(counts))  # ties go to the smaller symbol
+                    assert con.majority_shorten(code, coord) == con.shorten(code, coord, best)
+
+    def test_majority_shorten_validation(self):
+        code = con.mds_code(3, 3)
+        for coord in (3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                con.majority_shorten(code, coord)
+        with pytest.raises(ValueError, match="empty"):
+            con.majority_shorten(Code(Space(3, 3), []), 0)
+
     def test_qary_puncture(self):
         code = con.mds_code(3, 3)
         assert len(con.puncture_last(code).support()) == 9

@@ -1,14 +1,20 @@
-"""Property tests of the key-level text I/O and unchecked construction.
+"""Property tests of the key-level text I/O, of the agreement of every
+way to build a code, and of verdicts under random isometries.
 
 They need ``hypothesis`` (the ``dev`` extra) and are skipped without it.
 """
+
+from collections import Counter
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from hampack import constructions as con  # noqa: E402
+from hampack.analysis import distance_data, is_extended_unitrade, is_unitrade, verify_packing  # noqa: E402
 from hampack.core import Code, Space, Word, _code, _word, format_code, parse_code  # noqa: E402
+from hampack.search import canonical_form  # noqa: E402
 
 
 @st.composite
@@ -43,3 +49,76 @@ def test_unchecked_words_equal_checked_words(drawn):
         assert fast == Word(space, w.key) == w
         assert hash(fast) == hash(w) and str(fast) == str(w) and fast.symbols == w.symbols
     assert _code(space, [w.key for w in checked]) == Code(space, checked)
+
+
+@hypothesis.given(multisets(), st.randoms(use_true_random=False))
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_every_constructor_gives_the_same_code(drawn, rng):
+    space, words = drawn
+    q = space.q
+    ref = Counter(map(tuple, words))
+    checked = [Word.from_symbols(s, q) for s in words]
+    keys = [w.key for w in checked]
+    text = f"{q} {space.n}\n" + "".join("".join(map(str, s)) + "\n" for s in words)
+    shuffled = checked[:]
+    rng.shuffle(shuffled)
+    codes = [Code(space, checked), Code(space, shuffled), _code(space, keys), parse_code(text)]
+    if q == 2:
+        codes.append(Code.from_bits(space, keys))
+    absent = Word.from_symbols([rng.randrange(q) for _ in range(space.n)], q)
+    for code in codes:
+        assert code.keys == tuple(sorted(keys)) and len(code) == len(words)
+        assert [w.symbols for w in code.words] == sorted(ref.elements())
+        assert code.words is code.words and list(code) == list(code.words)
+        assert code == codes[0] and hash(code) == hash(codes[0])
+        for s, m in ref.items():
+            assert code.multiplicity(Word.from_symbols(s, q)) == m
+        assert code.multiplicity(absent) == ref[absent.symbols]
+        assert (absent in code) == (absent.symbols in ref)
+        assert [w.symbols for w in code.duplicate_words()] == sorted(s for s, m in ref.items() if m > 1)
+        assert [w.symbols for w in code.support().words] == sorted(ref)
+
+
+KNOWN = [con.l_star(6), con.diagonal_unitrade(4), con.diagonal_unitrade(6),
+         con.hamming_coset_union(3, 2), con.mds_code(3, 2)]
+
+
+@st.composite
+def small_codes(draw):
+    """A code of at most 256 vertices: a random multiset or a known code."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(KNOWN))
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[q]))
+    symbols = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    words = draw(st.lists(symbols, min_size=1, max_size=20))
+    return Code(Space(n, q), [Word.from_symbols(s, q) for s in words])
+
+
+def outcome(check, code):
+    try:
+        return check(code).ok
+    except ValueError:
+        return "ValueError"
+
+
+@hypothesis.given(small_codes(), st.randoms(use_true_random=False))
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_verdicts_are_invariant_under_isometries(code, rng):
+    n, q = code.space.n, code.space.q
+    perm = rng.sample(range(n), n)  # coordinate i moves to perm[i]
+    relabel = [rng.sample(range(q), q) for _ in range(n)]  # symbols, per coordinate
+    images = []
+    for w in code.words:
+        out = [0] * n
+        for i, s in enumerate(w.symbols):
+            out[perm[i]] = relabel[i][s]
+        images.append(Word.from_symbols(out, q))
+    image = Code(code.space, images)
+    for r in range(min(2, n) + 1):
+        assert verify_packing(image, 1, r).max_coverage == verify_packing(code, 1, r).max_coverage
+    assert is_unitrade(image).ok == is_unitrade(code).ok
+    assert distance_data(image).B == distance_data(code).B
+    if q == 2:
+        assert outcome(is_extended_unitrade, image) == outcome(is_extended_unitrade, code)
+        assert canonical_form(image.support()) == canonical_form(code.support())

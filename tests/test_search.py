@@ -1,6 +1,7 @@
 """Canonical forms, classification, and the exact search oracles."""
 
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -195,6 +196,22 @@ class TestCanonicalForm:
             assert count == searched
             assert 8 * count <= len(t)
             assert list(form) == [w.key for w in canonical_form(t).words]
+
+
+    def test_deep_tree_needs_no_recursion(self):
+        # twin columns 0 and 1 never split, so every node of the tree has
+        # one child per remaining word: the depth is the size of the set
+        space = Space(6, 2)
+        twins = Code.from_bits(space, [k for k in range(64) if k >> 5 == k >> 4 & 1])
+        assert len(twins) == 32
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 16)
+        try:
+            form, count = _canonical_search(twins.keys, 6)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert canonical_form(twins) == Code.from_bits(space, form)
+        assert form == tuple(sorted(form)) and form[0] == 0
 
 
 class TestAreEquivalent:
