@@ -58,6 +58,8 @@ class Space:
     q: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.q) is not int:
+            raise ValueError(f"n and q must be ints, got n={self.n!r}, q={self.q!r}")
         if self.n < 1:
             raise ValueError(f"word length must be positive, got n={self.n}")
         if self.q < 2:

@@ -47,13 +47,17 @@ realizable next word.
 branch-and-bound oracles over raw vertex sets; they certify exact
 maxima either by exhausting the tree or by meeting a proven upper bound
 (sphere-packing / LP), and they share no code with the constructions
-they are used to check.  Translations act transitively on H(n, q) and
-map balls onto balls, so every packing has a translate that contains
-the first vertex, and only packings whose least codeword is that vertex
-are searched.  Codewords are placed in nondecreasing order, so once the
+they are used to check.  Vertices are numbered by weight, then
+lexicographically, so the zero word comes first.  Translations act
+transitively on H(n, q) and map balls onto balls, and the stabilizer of
+the zero word is transitive on each weight, so every packing has an
+image whose least codeword is the zero word and whose second is the
+zero word again or the first word of some weight; only those are
+searched.  Codewords are placed in nondecreasing order, so once the
 next candidate is v, a vertex whose ball lies below v gains no more
 coverage and its spare room is lost; a node is cut when the room left
-cannot hold one more codeword than the best packing found.
+cannot hold one more codeword than the best packing found.  The balls in
+that order are built once per (n, q, r) and kept for a few spaces.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import comb
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -503,8 +508,8 @@ class SearchConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.n % 2 or not _MIN_N <= self.n <= _MAX_N:
-            raise ValueError(f"supported lengths are even n in {_MIN_N}..{_MAX_N}")
+        if type(self.n) is not int or self.n % 2 or not _MIN_N <= self.n <= _MAX_N:
+            raise ValueError(f"supported lengths are even ints n in {_MIN_N}..{_MAX_N}")
         if type(self.threads) is not int or self.threads < 1:
             raise ValueError("threads must be a positive int")
         card = self.max_cardinality
@@ -825,8 +830,8 @@ def min_extended_unitrade_size(n: int) -> int:
     starts at 2^(n/2), the size of the diagonal {(x, x)}, which is an
     extended unitrade, and doubles while nothing is found.
     """
-    if n % 2 or not 2 <= n <= _MAX_N:
-        raise ValueError(f"supported lengths are even n in 2..{_MAX_N}")
+    if type(n) is not int or n % 2 or not 2 <= n <= _MAX_N:
+        raise ValueError(f"supported lengths are even ints n in 2..{_MAX_N}")
     if n == 2:
         return 2  # both unitrades of length 2 have two words
     cap = 1 << (n // 2)
@@ -840,20 +845,68 @@ def min_extended_unitrade_size(n: int) -> int:
 def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
     """Exact maximum size of a lambda-fold r-packing in H(n, q).
 
-    Depth-first search over vertices in lexicographic order; repeated
-    codewords are modeled by allowing a vertex to be taken again, so the
-    answer is the true multiset maximum.  Translations of H(n, q) act
-    transitively and map balls onto balls, so every packing has a
-    translate containing the first vertex, and only the subtree whose
-    least codeword is that vertex is searched.  Codewords are placed in
+    Depth-first search over vertices in weight-then-lexicographic order;
+    repeated codewords are modeled by allowing a vertex to be taken again,
+    so the answer is the true multiset maximum.  Translations of H(n, q)
+    act transitively and map balls onto balls, so every packing has a
+    translate in which the zero word is a codeword of a closest pair (or a
+    repeated codeword), and only packings holding the zero word are
+    searched.  The stabilizer of 0 (coordinate permutations and
+    per-coordinate permutations of the nonzero symbols) is transitive on
+    each weight, so it maps the codeword nearest 0 onto the least word of
+    its weight d, and every other codeword has weight at least d: the
+    second codeword is 0 again or the first word of some weight.  The
+    vertices that this skips still count in the room bound below, which
+    holds for any vertex order.  Codewords are placed in
     nondecreasing order, so a vertex whose ball lies wholly below the next
     candidate keeps its coverage, and its spare room lam - cov is lost;
     each codeword fills |B_r| units of room, so a node is cut once
     (lam * q^n - lost room) // |B_r| cannot beat the best size found.
     Certification is by meeting a proven upper bound or exhausting that
-    subtree.
+    subtree.  The balls are built once per (n, q, r), shared by calls for
+    every lambda, and kept for the last few spaces.
     """
     return _max_packing_search(n, q, lam, r)[0]
+
+
+@lru_cache(maxsize=8)
+def _packing_tables(
+    n: int, q: int, r: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The packing search's read-only structure, built once per (n, q, r):
+    each vertex's radius-r ball in decreasing order, the vertices listed
+    under their largest ball member, and each vertex's first vertex of
+    the next weight (q^n past the last).  Vertex v is the v-th word in
+    weight-then-lexicographic order, so vertex 0 is the zero word.  The
+    balls hold q^n * |B_r| entries, so only a few spaces are kept."""
+    size = q ** n
+    # word k is the k-th word in lexicographic order, so its digits are
+    # those of k in base q; the stable sort keeps that order in a weight
+    weight = [0] * size
+    for k in range(1, size):
+        weight[k] = weight[k // q] + (k % q != 0)
+    order = sorted(range(size), key=weight.__getitem__)
+    rank = [0] * size
+    for v, k in enumerate(order):
+        rank[k] = v
+    # a ball is grown by changing digits at increasing positions, one more
+    # per layer (moves[p][a]: the steps that change digit a at position p)
+    place = [q ** (n - 1 - p) for p in range(n)]
+    moves = [[[(d - a) * w for d in range(q) if d != a] for a in range(q)] for w in place]
+    balls = []
+    for k in order:
+        steps = [moves[p][k // w % q] for p, w in enumerate(place)]
+        ball, layer = [k], [(k, 0)]
+        for _ in range(r):
+            layer = [(u + s, p + 1)
+                     for u, first in layer for p in range(first, n) for s in steps[p]]
+            ball += [u for u, _ in layer]
+        balls.append(tuple(sorted(map(rank.__getitem__, ball), reverse=True)))
+    dying: list[list[int]] = [[] for _ in range(size)]
+    for v, ball in enumerate(balls):
+        dying[ball[0]].append(v)
+    ends = list(accumulate(comb(n, w) * (q - 1) ** w for w in range(n + 1)))
+    return tuple(balls), tuple(map(tuple, dying)), tuple(ends[weight[k]] for k in order)
 
 
 def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
@@ -864,40 +917,28 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     size = space.size
     if size > 4096:
         raise ValueError("the exact packing search is a desk-scale oracle (q^n <= 4096)")
+    if type(r) is not int:
+        raise ValueError("radius must be an int")
     ball_size = space.ball_size(r)
-    # vertex v is the v-th word in lexicographic order, so its digits are
-    # those of v in base q; a ball is grown by changing digits at
-    # increasing positions, one more per layer (moves[p][a]: the steps
-    # that change digit a at position p), and kept in decreasing order
-    place = [q ** (n - 1 - p) for p in range(n)]
-    moves = [[[(d - a) * w for d in range(q) if d != a] for a in range(q)] for w in place]
-    balls = []
-    for v in range(size):
-        steps = [moves[p][v // w % q] for p, w in enumerate(place)]
-        ball, layer = [v], [(v, 0)]
-        for _ in range(r):
-            layer = [(u + s, p + 1)
-                     for u, first in layer for p in range(first, n) for s in steps[p]]
-            ball += [u for u, _ in layer]
-        balls.append(sorted(ball, reverse=True))
+    balls, dying, next_weight = _packing_tables(n, q, r)
     cap = lam * size // ball_size
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)
 
     # An explicit stack of the chosen vertices, nondecreasing: a child's
     # loop starts at its parent's vertex (repeats allowed), and the search
-    # stops once the cap is met.  Some translate of every packing holds
-    # vertex 0, the least vertex, so the search ends when that root would
-    # be popped.  full[c] counts the vertices of ball c that hold lam
-    # codewords, for the centres c not below the vertex whose placement
-    # filled them: no smaller candidate is asked until it is undone.
-    # Once the next candidate is v, a vertex whose largest ball member
-    # lies below v gains no more coverage (membership is symmetric), and
-    # its spare room is dead: no completion beats best once
+    # stops once the cap is met.  The root is vertex 0, so the search ends
+    # when it would be popped; the second codeword is 0 or the first vertex
+    # of a weight, and a backtrack at that depth goes on to the next weight
+    # (the first candidate after the root is one too: 0 when lam > 1, and
+    # else the first vertex of weight 2r + 1, the first one not blocked).
+    # full[c] counts the vertices of ball c that hold lam codewords, for
+    # the centres c not below the vertex whose placement filled them: no
+    # smaller candidate is asked until it is undone.  Once the next
+    # candidate is v, a vertex whose largest ball member lies below v gains
+    # no more coverage (membership is symmetric), and its spare room is
+    # dead: no completion beats best once
     # dead > lam * q^n - (best + 1) * |B_r|.
-    dying: list[list[int]] = [[] for _ in range(size)]  # vertices by largest ball member
-    for u, ball in enumerate(balls):
-        dying[ball[0]].append(u)
     cov = [0] * size
     full = [0] * size
     chosen: list[tuple[int, int]] = []  # (vertex, dead room when it was placed)
@@ -933,16 +974,18 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
                         break
                     full[c] -= 1
             cov[u] -= 1
-        for u in dying[v]:
-            dead += lam - cov[u]
-        v += 1
+        stop = next_weight[v] if len(chosen) == 1 else v + 1
+        for w in range(v, stop):
+            for u in dying[w]:
+                dead += lam - cov[u]
+        v = stop
     return best, placements
 
 
 def max_twofold_packing_size(n: int) -> int:
     """Exact maximum size of a 2-fold 1-packing in H(n, 2), n <= 7."""
-    if not 1 <= n <= 7:
-        raise ValueError("the exhaustive two-fold oracle is limited to n <= 7")
+    if type(n) is not int or not 1 <= n <= 7:
+        raise ValueError("the exhaustive two-fold oracle takes an int n in 1..7")
     if n == 1:
         return 2
     return max_packing_size(n, 2, 2, 1)

@@ -38,6 +38,11 @@ class TestSpace:
         Space(64, 2)
         Space(100, 3)
 
+    def test_length_and_alphabet_must_be_ints(self):
+        for n, q in ((True, 2), (2, True), (3.0, 2), (3, 2.0), ("3", 2), (3, None)):
+            with pytest.raises(ValueError, match="must be ints"):
+                Space(n, q)
+
     def test_sizes(self):
         assert Space(4, 3).size == 81
         assert Space(3, 2).ball_size(1) == 4

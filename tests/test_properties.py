@@ -1,5 +1,6 @@
 """Property tests of the key-level text I/O, of the agreement of every
-way to build a code, and of verdicts under random isometries.
+way to build a code, of the coverage counts against brute force, and of
+verdicts under random isometries.
 
 They need ``hypothesis`` (the ``dev`` extra) and are skipped without it.
 """
@@ -12,8 +13,25 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hampack import constructions as con  # noqa: E402
-from hampack.analysis import distance_data, is_extended_unitrade, is_unitrade, verify_packing  # noqa: E402
-from hampack.core import Code, Space, Word, _code, _word, format_code, parse_code  # noqa: E402
+from hampack.analysis import (  # noqa: E402
+    _coverage_counts_full,
+    _coverage_counts_union,
+    distance_data,
+    is_extended_unitrade,
+    is_unitrade,
+    verify_packing,
+)
+from hampack.core import (  # noqa: E402
+    MAX_Q,
+    Code,
+    Space,
+    Word,
+    _code,
+    _word,
+    coverage_multiplicity,
+    format_code,
+    parse_code,
+)
 from hampack.search import canonical_form  # noqa: E402
 
 
@@ -93,6 +111,34 @@ def small_codes(draw):
     symbols = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     words = draw(st.lists(symbols, min_size=1, max_size=20))
     return Code(Space(n, q), [Word.from_symbols(s, q) for s in words])
+
+
+@st.composite
+def coverage_cases(draw):
+    """A random multiset of a space with q^n <= 256, a radius and a lambda."""
+    q = draw(st.integers(2, MAX_Q))
+    n = draw(st.integers(1, max(n for n in range(1, 9) if q**n <= 256)))
+    symbols = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    words = draw(st.lists(symbols, max_size=12))
+    words += draw(st.lists(st.sampled_from(words), max_size=4)) if words else []
+    code = Code(Space(n, q), [Word.from_symbols(s, q) for s in words])
+    return code, draw(st.integers(0, n)), draw(st.integers(1, 3))
+
+
+@hypothesis.given(coverage_cases())
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_coverage_matches_brute_force(case):
+    code, r, lam = case
+    counts = [(coverage_multiplicity(code, v, r), v) for v in code.space]
+    top = max(m for m, _ in counts)
+    witness = next(v for m, v in counts if m == top) if top else None
+    expected = {v.key: m for m, v in counts if m}
+    assert _coverage_counts_union(code, r) == expected
+    assert _coverage_counts_full(code, r) == expected
+    for full_scan in (False, True):
+        report = verify_packing(code, lam, r, force_full_scan=full_scan)
+        assert (report.max_coverage, report.witness) == (top, witness)
+        assert report.is_lambda_fold == (top <= lam)
 
 
 def outcome(check, code):

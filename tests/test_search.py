@@ -18,7 +18,7 @@ from hampack.analysis import (
     reducibility_certificate,
 )
 from hampack.bounds import lp_bound, sphere_packing_bound
-from hampack.core import MAX_Q, Code, Space, Word, ball
+from hampack.core import MAX_Q, Code, Space, Word, ball, weight
 from hampack.search import (
     EquivalenceClass,
     SearchConfig,
@@ -26,6 +26,7 @@ from hampack.search import (
     _canonical_search,
     _enumerate_with_seed,
     _max_packing_search,
+    _packing_tables,
     _run_enumeration,
     _seed_group,
     are_equivalent,
@@ -308,6 +309,9 @@ class TestClassifySmall:
         for card in (-3, 0, 2.5, True):
             with pytest.raises(ValueError):
                 SearchConfig(n=6, max_cardinality=card)
+        for n in (6.0, "6", True):
+            with pytest.raises(ValueError):
+                SearchConfig(n=n)
 
     @pytest.mark.parametrize("n", [6, 8])
     @pytest.mark.parametrize("antipodal", [False, True])
@@ -478,6 +482,11 @@ class TestMinUnitradeSize:
         with pytest.raises(ValueError):
             min_extended_unitrade_size(5)
 
+    def test_length_must_be_an_int(self):
+        for n in (4.0, "4", True, None):
+            with pytest.raises(ValueError):
+                min_extended_unitrade_size(n)
+
     def test_matches_smallest_class(self):
         for n in (4, 6, 8):
             classes = classify_extended_unitrades(SearchConfig(n=n))
@@ -513,14 +522,24 @@ def brute_force_max_packing(n: int, q: int, lam: int, r: int) -> int:
     return best
 
 
-def reference_max_packing(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
-    """The packing search without the room bound: the same node order, the
-    same root restriction and the same cap, cut by nothing else."""
+def weight_order(space: Space) -> list[Word]:
+    return sorted(space, key=lambda w: (weight(w), w.symbols))
+
+
+def reference_max_packing(n: int, q: int, lam: int, r: int,
+                          lexicographic: bool = False) -> tuple[int, int]:
+    """The packing search without the room bound: the same vertex order
+    (by weight, then lexicographic), root, second codeword and cap, cut by
+    nothing else.  With ``lexicographic``, the search before the weight
+    order: vertices in lexicographic order and any second codeword."""
     space = Space(n, q)
-    words = list(space)
+    words = list(space) if lexicographic else weight_order(space)
     index = {w: i for i, w in enumerate(words)}
     balls = [[index[u] for u in ball(w, r)] for w in words]
     size = len(words)
+    # the second codeword is 0 again or the first word of a weight
+    second = set(range(size)) if lexicographic else (
+        {0} | {i for i in range(1, size) if weight(words[i]) > weight(words[i - 1])})
     cap = lam * size // space.ball_size(r)
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)
@@ -528,7 +547,8 @@ def reference_max_packing(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     chosen: list[int] = []
     best = placements = v = 0
     while best < cap:
-        while v < size and any(cov[u] >= lam for u in balls[v]):
+        while v < size and (any(cov[u] >= lam for u in balls[v])
+                            or (len(chosen) == 1 and v not in second)):
             v += 1
         if v < size:
             for u in balls[v]:
@@ -549,7 +569,7 @@ def reference_max_packing(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
 def sweep_instances() -> list[tuple[int, int, int, int]]:
     """Every space with q^n <= 27 (and q within the digit limit) and H(5, 2),
     lambda <= 3, all radii; (5, 2, 3, 1) is left out, at about 8 s for the
-    reference."""
+    lexicographic reference."""
     spaces = [(n, q) for n in range(1, 5) for q in range(2, MAX_Q + 1) if q**n <= 27]
     spaces.append((5, 2))
     return [(n, q, lam, r) for n, q in spaces for lam in (1, 2, 3) for r in range(n + 1)
@@ -564,6 +584,12 @@ class TestMaxPacking:
             assert value == reference[0], args
             assert placements <= reference[1], args
 
+    def test_matches_lexicographic_search(self):
+        # the weight order and the second-codeword cut change only which
+        # packings are searched, never the maximum
+        for args in sweep_instances():
+            assert max_packing_size(*args) == reference_max_packing(*args, lexicographic=True)[0], args
+
     @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)])
     def test_matches_brute_force(self, n, q):
         for r in range(n + 1):
@@ -572,21 +598,53 @@ class TestMaxPacking:
                     n, q, lam, r)
 
     def test_placements(self):
-        # without the room bound these searches placed the `before` counts;
-        # without fixing the least codeword by translation as well,
-        # (4,2,3,1) and (3,4,1,1) placed 28,192 and 3,808
-        for args, value, placements, before in (((4, 2, 3, 1), 8, 2229, 8770),
-                                                ((3, 3, 2, 1), 6, 750, 2258),
-                                                ((3, 4, 1, 1), 4, 113, 172),
-                                                ((5, 2, 2, 1), 10, 958, 2532)):
-            assert _max_packing_search(*args) == (value, placements)
-            assert placements < before
+        # the instances of the benchmark's exact workload.  In lexicographic
+        # order with every second codeword tried, these searches placed the
+        # `lexicographic` counts; the weight order and the second-codeword
+        # cut leave only the two-fold n = 6, 7 and (4,3,1,1) searches, which
+        # meet the cap on their first descent, as they were.  Without the
+        # room bound as well, (4,2,3,1), (3,3,2,1), (3,4,1,1) and (5,2,2,1)
+        # placed 8,770, 2,258, 172 and 2,532, and without fixing the least
+        # codeword by translation, (4,2,3,1) and (3,4,1,1) placed 28,192
+        # and 3,808
+        for args, value, placements, lexicographic in (((4, 2, 3, 1), 8, 1091, 2229),
+                                                       ((3, 3, 2, 1), 6, 122, 750),
+                                                       ((3, 4, 1, 1), 4, 8, 113),
+                                                       ((4, 3, 1, 1), 9, 9, 9),
+                                                       ((2, 5, 2, 1), 5, 7, 11),
+                                                       ((5, 2, 2, 1), 10, 501, 958),
+                                                       ((6, 2, 2, 1), 16, 16, 16),
+                                                       ((7, 2, 2, 1), 32, 32, 32)):
+            assert _max_packing_search(*args) == (value, placements), args
+            assert placements <= lexicographic
 
     def test_room_bound_on_a_deep_optimum(self):
         # the optimum meets the cap 16, but the first packing of 16 in
-        # search order lies deep: without the room bound the search placed
-        # 1,948,714 codewords to reach it
-        assert _max_packing_search(5, 2, 3, 1) == (16, 93585)
+        # search order lies deep: without the room bound the lexicographic
+        # search placed 1,948,714 codewords to reach it, and with it 93,585;
+        # the weight order alone brings that to 51,425, and the
+        # second-codeword cut leaves it there
+        assert _max_packing_search(5, 2, 3, 1) == (16, 51425)
+
+    def test_tables_are_built_once_per_space(self):
+        _packing_tables.cache_clear()
+        for lam in (1, 2, 3):
+            max_packing_size(3, 3, lam, 1)
+        info = _packing_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        max_packing_size(3, 3, 1, 2)
+        assert _packing_tables.cache_info().misses == 2
+        for n, q, r in ((3, 3, 1), (4, 2, 2), (2, 4, 0)):
+            balls, dying, next_weight = _packing_tables(n, q, r)
+            words = weight_order(Space(n, q))
+            index = {w: i for i, w in enumerate(words)}
+            assert type(balls) is type(dying) is type(next_weight) is tuple
+            assert all(type(b) is tuple for b in balls) and all(type(d) is tuple for d in dying)
+            for v, w in enumerate(words):
+                assert balls[v] == tuple(sorted((index[u] for u in ball(w, r)), reverse=True))
+                assert v in dying[balls[v][0]]
+                assert weight(words[next_weight[v] - 1]) == weight(w)
+                assert next_weight[v] == len(words) or weight(words[next_weight[v]]) == weight(w) + 1
 
     def test_twofold_values(self):
         # frozen from the exhaustive oracle itself
@@ -636,12 +694,26 @@ class TestMaxPacking:
     def test_range_guards(self):
         with pytest.raises(ValueError):
             max_twofold_packing_size(8)
+        for n in (True, 5.0, "5"):
+            with pytest.raises(ValueError):
+                max_twofold_packing_size(n)
         with pytest.raises(ValueError):
             max_packing_size(13, 2, 2, 1)
         for q in (2, 3):
             for lam in (0, -2, 1.5, True, "2"):
                 with pytest.raises(ValueError):
                     max_packing_size(2, q, lam, 1)
+
+    def test_integer_parameters_are_checked_before_the_tables(self):
+        # True == 1 and hashes like it, so the cached tables of H(1, 2)
+        # would answer for it
+        assert max_packing_size(1, 2, 1, 1) == 1
+        before = _packing_tables.cache_info()
+        for args in ((True, 2, 1, 1), (3.0, 2, 1, 1), (3, 2.0, 1, 1), (3, True, 1, 1),
+                     (3, 2, 1, True), (3, 2, 1, 1.0), (3, 2, 1, "1"), (3, 2, 1, None)):
+            with pytest.raises(ValueError):
+                max_packing_size(*args)
+        assert _packing_tables.cache_info() == before
 
 
 @pytest.mark.slow
