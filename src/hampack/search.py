@@ -24,13 +24,16 @@ is the least size that an enumeration capped at 2^(n/2) words finds.
 Isomorphs are rejected as early as is safe, under the seed group G: the
 coordinate permutations that preserve the seed, i.e. the aligned pairs
 permuted and swapped inside (384 elements at n = 8).  A classification
-splits the tree below the seed into units, replayable lists of IN and
-OUT decisions, and drops a unit whose decisions are the G-image of a
-kept unit's: propagation commutes with G, so its subtree lists exactly
-the images of the kept unit's unitrades.  Serial runs, worker processes
-and checkpoints all search the kept units.  Of the unitrades found, one
-per G-orbit is kept (bucketed by a G-invariant and tested against the
-kept ones); the nonbipartite filter then drops bipartite ones, since
+splits the tree below the seed into units, lists of IN and OUT
+decisions, and drops a unit whose decisions are the G-image of a kept
+unit's: propagation commutes with G, so its subtree lists exactly the
+images of the kept unit's unitrades.  The engine's marks are snapshots
+of its state, so each unit is stored with its parent node's mark and
+resumes from it with only its own last decisions applied; no unit
+replays the seed or its ancestors.  Serial runs, worker processes and
+checkpoints all search the kept units.  Of the unitrades found, one per
+G-orbit is kept (bucketed by a G-invariant and tested against the kept
+ones); the nonbipartite filter then drops bipartite ones, since
 bipartiteness is an isometry invariant; and only the rest get canonical
 forms, which merge the G-orbits into classes.
 
@@ -57,20 +60,21 @@ searched.  Codewords are placed in nondecreasing order, so once the
 next candidate is v, a vertex whose ball lies below v gains no more
 coverage and its spare room is lost; a node is cut when the room left
 cannot hold one more codeword than the best packing found.  The balls in
-that order are built once per (n, q, r) and kept for a few spaces.
+that order are built once per (n, q, r) and kept for a few small spaces.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, permutations
 from math import comb
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .analysis import _bipartition, _reducibility, is_antipodal, is_extended_unitrade
 from .bounds import lp_bound
@@ -269,7 +273,14 @@ def _halved_cube(
 
 
 class _Engine:
-    """Clique-propagation search over the even-parity words of H(n, 2)."""
+    """Clique-propagation search over the even-parity words of H(n, 2).
+
+    A mark is an immutable snapshot of the whole search state (word
+    statuses, clique counters, the chosen-word and touched counts, the
+    pending fronts); undoing to it writes the snapshot back.  Marks pickle,
+    so a search can resume from one in another engine of the same
+    parameters, in another process too.
+    """
 
     UNDECIDED, IN, OUT = 0, 1, 2
 
@@ -286,15 +297,16 @@ class _Engine:
         self.touched = 0  # cliques holding at least one chosen word
         self.nodes = 0  # search nodes visited
         self.fronts: list[int] = []
-        self.trail: list[int] = []
 
     # -- assignment with propagation --------------------------------------
 
     def assign(self, idx: int, val: int) -> bool:
-        """Set one word in/out and propagate; False on contradiction."""
+        """Set one word in/out and propagate; False on contradiction, after
+        which the state is inconsistent until the next undo."""
         status, cin, cund = self.status, self.cin, self.cund
-        trail, fronts = self.trail, self.fronts
+        fronts = self.fronts
         member_cliques, clique_members = self.member_cliques, self.clique_members
+        complement = self.complement if self.antipodal_only else None
         max_card = self.max_cardinality
         pending = [(idx, val)]
         pop, push = pending.pop, pending.append
@@ -310,29 +322,22 @@ class _Engine:
                     return False
                 self.in_count += 1
             status[i] = v
-            trail.append(i)
-            mc = member_cliques[i]
-            # counters first, all of them, so undo stays consistent even
-            # when a rule below reports a contradiction
-            if v == 1:
-                for ci in mc:
-                    cund[ci] -= 1
-                    if not cin[ci]:
-                        self.touched += 1
-                    cin[ci] += 1
-            else:
-                for ci in mc:
-                    cund[ci] -= 1
-            if self.antipodal_only:
-                comp = self.complement[i]
+            if complement is not None:
+                comp = complement[i]
                 cst = status[comp]
                 if not cst:
                     push((comp, v))
                 elif cst != v:
                     return False
-            for ci in mc:
+            for ci in member_cliques[i]:
+                c_und = cund[ci] - 1
+                cund[ci] = c_und
                 c_in = cin[ci]
-                c_und = cund[ci]
+                if v == 1:
+                    if not c_in:
+                        self.touched += 1
+                    c_in += 1
+                    cin[ci] = c_in
                 if c_in == 0:
                     if c_und == 1:
                         for mj in clique_members[ci]:
@@ -358,31 +363,16 @@ class _Engine:
                     return False
         return True
 
-    def mark(self) -> tuple[int, int]:
-        return len(self.trail), len(self.fronts)
+    def mark(self) -> tuple:
+        return (bytes(self.status), bytes(self.cin), bytes(self.cund),
+                self.in_count, self.touched, tuple(self.fronts))
 
-    def undo(self, mark: tuple[int, int]) -> None:
-        trail_len, fronts_len = mark
-        status, cin, cund = self.status, self.cin, self.cund
-        trail = self.trail
-        member_cliques = self.member_cliques
-        dropped_in = untouched = 0
-        while len(trail) > trail_len:
-            i = trail.pop()
-            if status[i] == 1:
-                dropped_in += 1
-                for ci in member_cliques[i]:
-                    cund[ci] += 1
-                    cin[ci] -= 1
-                    if not cin[ci]:
-                        untouched += 1
-            else:
-                for ci in member_cliques[i]:
-                    cund[ci] += 1
-            status[i] = 0
-        self.in_count -= dropped_in
-        self.touched -= untouched
-        del self.fronts[fronts_len:]
+    def undo(self, mark: tuple) -> None:
+        status, cin, cund, self.in_count, self.touched, fronts = mark
+        self.status[:] = status
+        self.cin[:] = cin
+        self.cund[:] = cund
+        self.fronts[:] = fronts
 
     # -- branching structure ----------------------------------------------
 
@@ -441,8 +431,8 @@ def _node(engine: _Engine, out: list) -> Iterator[None]:
         return
     cands = engine.pick_front()
     if cands is not None:
+        mk = engine.mark()
         for mj in cands:
-            mk = engine.mark()
             if engine.assign(mj, engine.IN):
                 yield
             engine.undo(mk)
@@ -477,19 +467,42 @@ def _search(engine: _Engine, out: list) -> None:
             stack.pop()
 
 
-def _enumerate_with_seed(
-    n: int,
-    antipodal_only: bool = False,
-    max_cardinality: Optional[int] = None,
-    decisions: Sequence[tuple[int, int]] = (),
+def _search_unit(
+    engine: _Engine, start: tuple, tail: Sequence[tuple[int, int]]
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Every unitrade below the seed and the decisions, and the search
-    nodes; nothing, and no node, if the decisions contradict the seed."""
-    engine = _Engine(n, antipodal_only, max_cardinality)
+    """Every unitrade below the state ``start`` (a mark) and the decisions
+    in ``tail``, and the search nodes; nothing, and no node, if the
+    decisions contradict the state."""
+    engine.undo(start)
     out: list[tuple[int, ...]] = []
-    if all(engine.assign(idx, val) for idx, val in [*engine.seed_decisions(), *decisions]):
+    nodes = engine.nodes
+    if all(engine.assign(idx, val) for idx, val in tail):
         _search(engine, out)
-    return out, engine.nodes
+    return out, engine.nodes - nodes
+
+
+def _enumerate_with_seed(
+    n: int, antipodal_only: bool = False, max_cardinality: Optional[int] = None
+) -> tuple[list[tuple[int, ...]], int]:
+    """Every unitrade below the seed, and the search nodes."""
+    engine = _Engine(n, antipodal_only, max_cardinality)
+    return _search_unit(engine, engine.mark(), engine.seed_decisions())
+
+
+# A worker process builds one engine when it starts and searches every
+# unit it is sent with it; the parent process never sets this.
+_worker_engine: Optional[_Engine] = None
+
+
+def _start_worker(n: int, antipodal_only: bool, max_cardinality: Optional[int]) -> None:
+    global _worker_engine
+    _worker_engine = _Engine(n, antipodal_only, max_cardinality)
+
+
+def _search_unit_in_worker(
+    start: tuple, tail: Sequence[tuple[int, int]]
+) -> tuple[list[tuple[int, ...]], int]:
+    return _search_unit(_worker_engine, start, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -662,51 +675,62 @@ _UNITS_PER_THREAD = 8
 _CHECKPOINT_VERSION = 2  # 1: units split without the seed group
 
 
+class _Unit(NamedTuple):
+    """A subtree below the seed: its decisions from the seed (IN and OUT
+    literals, for the sieve), the mark of its parent node, and the
+    decisions taken past that node."""
+
+    decisions: list[tuple[int, int]]
+    start: tuple
+    tail: list[tuple[int, int]]
+
+
 def _expand_units(
     engine: _Engine, target: int
-) -> tuple[list[list[tuple[int, int]]], list[tuple[int, ...]], dict[str, int]]:
-    """Split the search tree below the seed into replayable decision lists.
+) -> tuple[list[_Unit], list[tuple[int, ...]], dict[str, int]]:
+    """Split the search tree below the engine's state into units.
 
-    A unit whose decisions (IN and OUT literals) are the image of a kept
-    unit's under the seed group is dropped: propagation commutes with the
-    group, so its subtree lists the images of the kept unit's unitrades.
-    A kept unit that is split further stays covered by its children and
-    by the unitrade closed at it, so rejection acts at every level.
-    Returns (units, closed, counts): ``closed`` collects the complete
-    unitrades encountered at the expanded nodes themselves (the 'stop
-    here' alternative of the extension branching), and ``counts`` the
-    units generated and rejected.
+    A unit whose decisions are the image of a kept unit's under the seed
+    group is dropped: propagation commutes with the group, so its subtree
+    lists the images of the kept unit's unitrades.  A kept unit that is
+    split further stays covered by its children and by the unitrade
+    closed at it, so rejection acts at every level.  A unit is expanded
+    or searched from its parent's mark, with only its own last decisions
+    applied.  Returns (units, closed, counts): ``closed`` collects the
+    complete unitrades encountered at the expanded nodes themselves (the
+    'stop here' alternative of the extension branching), and ``counts``
+    the units generated and rejected.
     """
     sieve = _OrbitSieve(engine.n)
-    evens, IN = engine.evens, engine.IN
-    units: list[list[tuple[int, int]]] = [[]]
+    evens, IN, OUT = engine.evens, engine.IN, engine.OUT
+    units = [_Unit([], engine.mark(), [])]
     closed: list[tuple[int, ...]] = []
     generated = rejected = 0
     while units and len(units) < target:
-        units.sort(key=len)
+        units.sort(key=lambda u: len(u.decisions))
         unit = units.pop(0)
-        mk = engine.mark()
-        children: list[list[tuple[int, int]]] = []
-        if all(engine.assign(idx, val) for idx, val in unit):
-            cands = engine.pick_front()
-            if cands is not None:
-                children = [unit + [(mj, IN)] for mj in cands]
-            else:
-                closed.append(engine.in_keys())
-                limit = engine.max_cardinality
-                if not (limit is not None and engine.in_count >= limit):
-                    undecided = engine.undecided_indices()
-                    for pos, w in enumerate(undecided):
-                        children.append(
-                            unit + [(u, engine.OUT) for u in undecided[:pos]] + [(w, IN)]
-                        )
-        engine.undo(mk)
-        for child in children:
+        engine.undo(unit.start)
+        if not all(engine.assign(idx, val) for idx, val in unit.tail):
+            continue
+        here = engine.mark()
+        tails: list[list[tuple[int, int]]] = []
+        cands = engine.pick_front()
+        if cands is not None:
+            tails = [[(mj, IN)] for mj in cands]
+        else:
+            closed.append(engine.in_keys())
+            limit = engine.max_cardinality
+            if not (limit is not None and engine.in_count >= limit):
+                undecided = engine.undecided_indices()
+                tails = [[(u, OUT) for u in undecided[:pos]] + [(w, IN)]
+                         for pos, w in enumerate(undecided)]
+        for tail in tails:
             generated += 1
+            child = unit.decisions + tail
             literals = ([evens[i] for i, v in child if v == IN],
                         [evens[i] for i, v in child if v != IN])
             if sieve.is_new(literals):
-                units.append(child)
+                units.append(_Unit(child, here, tail))
             else:
                 rejected += 1
     return units, closed, {"units": generated, "rejected": rejected, "searched": len(units)}
@@ -715,7 +739,11 @@ def _expand_units(
 def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str, int]]:
     """The unitrades found below the kept units and while splitting, which
     hold a member of every class, and the work counts: units generated,
-    rejected and searched, and the engine nodes searched in this call."""
+    rejected and searched, and the engine nodes searched in this call.
+
+    ``cfg.threads`` sets how finely the tree is split; the units are
+    searched by at most that many worker processes, and by no more than
+    there are CPUs or units to search, which leaves the results alone."""
     engine = _Engine(cfg.n, cfg.antipodal_only, cfg.max_cardinality)
     counts = {"units": 0, "rejected": 0, "searched": 0, "nodes": 0}
     for idx, val in engine.seed_decisions():
@@ -736,10 +764,16 @@ def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str
         solutions.extend(tuple(s) for s in sols)
     todo = [i for i in range(len(units)) if str(i) not in state["completed"]]
 
-    args = ([cfg.n] * len(todo), [cfg.antipodal_only] * len(todo),
-            [cfg.max_cardinality] * len(todo), [units[i] for i in todo])
-    with ProcessPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_enumerate_with_seed, *args)
+    args = ([units[i].start for i in todo], [units[i].tail for i in todo])
+    workers = min(cfg.threads, os.cpu_count() or 1, len(todo))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker,
+        initargs=(cfg.n, cfg.antipodal_only, cfg.max_cardinality),
+    ) if workers > 1 else nullcontext() as pool:
+        if pool:
+            results = pool.map(_search_unit_in_worker, *args)
+        else:
+            results = map(partial(_search_unit, engine), *args)
         for i, (sols, nodes) in zip(todo, results):
             solutions.extend(sols)
             counts["nodes"] += nodes
@@ -864,9 +898,15 @@ def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
     (lam * q^n - lost room) // |B_r| cannot beat the best size found.
     Certification is by meeting a proven upper bound or exhausting that
     subtree.  The balls are built once per (n, q, r), shared by calls for
-    every lambda, and kept for the last few spaces.
+    every lambda, and kept for the last few spaces of at most 2^16 ball
+    entries; larger tables are built for one call.
     """
     return _max_packing_search(n, q, lam, r)[0]
+
+
+# Spaces whose balls hold at most this many entries in all keep their
+# tables between calls (every space of H(n, 2) up to n = 12 at radius 1).
+_CACHED_BALL_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=8)
@@ -878,7 +918,7 @@ def _packing_tables(
     under their largest ball member, and each vertex's first vertex of
     the next weight (q^n past the last).  Vertex v is the v-th word in
     weight-then-lexicographic order, so vertex 0 is the zero word.  The
-    balls hold q^n * |B_r| entries, so only a few spaces are kept."""
+    balls hold q^n * |B_r| entries, so only a few small spaces are kept."""
     size = q ** n
     # word k is the k-th word in lexicographic order, so its digits are
     # those of k in base q; the stable sort keeps that order in a weight
@@ -920,7 +960,10 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     if type(r) is not int:
         raise ValueError("radius must be an int")
     ball_size = space.ball_size(r)
-    balls, dying, next_weight = _packing_tables(n, q, r)
+    if size * ball_size <= _CACHED_BALL_ENTRIES:
+        balls, dying, next_weight = _packing_tables(n, q, r)
+    else:  # built for this call alone
+        balls, dying, next_weight = _packing_tables.__wrapped__(n, q, r)
     cap = lam * size // ball_size
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)

@@ -11,6 +11,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from hampack import constructions as con
+from hampack import search
 from hampack.analysis import (
     is_antipodal,
     is_bipartite_unitrade,
@@ -20,14 +21,19 @@ from hampack.analysis import (
 from hampack.bounds import lp_bound, sphere_packing_bound
 from hampack.core import MAX_Q, Code, Space, Word, ball, weight
 from hampack.search import (
+    _UNITS_PER_THREAD,
     EquivalenceClass,
     SearchConfig,
+    _Engine,
+    _expand_units,
     _OrbitSieve,
     _canonical_search,
     _enumerate_with_seed,
     _max_packing_search,
     _packing_tables,
     _run_enumeration,
+    _search,
+    _search_unit,
     _seed_group,
     are_equivalent,
     canonical_form,
@@ -187,6 +193,21 @@ class TestCanonicalForm:
         for keys, n in oracle_sets():
             form = canonical_form(Code.from_bits(Space(n, 2), keys))
             assert [w.key for w in form.words] == brute_force_form(keys, n), (n, sorted(keys))
+
+    def test_matches_brute_force_at_length_6(self):
+        # all 6! * 2^6 isometries: seeded random sets and symmetric ones
+        rng = random.Random(49)
+        sets = [rng.sample(range(64), rng.randrange(1, 13)) for _ in range(60)]
+        for _ in range(10):
+            gens = rng.sample(range(1, 64), 3)
+            sets.append(sorted(span(gens)))
+            shifts = rng.sample(range(64), rng.randrange(2, 4))
+            sets.append(sorted({x ^ t for x in span(gens[:2]) for t in shifts}))
+        for t in (con.diagonal_unitrade(6), con.l_star(6)):
+            sets.append(list(t.keys))
+        for keys in sets:
+            form = canonical_form(Code.from_bits(Space(6, 2), keys))
+            assert list(form.keys) == brute_force_form(keys, 6), sorted(keys)
 
     def test_translates_searched(self, pair_linear):
         # automorphisms found in the first two translates join every word
@@ -362,6 +383,92 @@ class TestClassifySmall:
             assert _run_enumeration(SearchConfig(n=8, **kw))[1] == counts, kw
 
 
+def engine_fields(engine: _Engine) -> tuple:
+    """An independent copy of every field that a mark covers."""
+    return (bytearray(engine.status), bytearray(engine.cin), bytearray(engine.cund),
+            engine.in_count, engine.touched, list(engine.fronts))
+
+
+def check_engine_state(engine: _Engine) -> None:
+    """The counters recomputed from the word statuses, and the fixpoint of
+    the propagation rules, after a successful assign."""
+    status = engine.status
+    cin = [sum(status[m] == _Engine.IN for m in ms) for ms in engine.clique_members]
+    cund = [sum(status[m] == _Engine.UNDECIDED for m in ms) for ms in engine.clique_members]
+    assert list(engine.cin) == cin
+    assert list(engine.cund) == cund
+    assert engine.in_count == status.count(_Engine.IN)
+    assert engine.touched == sum(1 for c in cin if c)
+    for c_in, c_und in zip(cin, cund):
+        assert (c_in, c_und) == (2, 0) or (c_in < 2 and c_und != 1 and (c_in, c_und) != (1, 0))
+    # pick_front sees every clique with one chosen word and open candidates
+    assert {ci for ci, (c_in, c_und) in enumerate(zip(cin, cund))
+            if c_in == 1 and c_und} <= set(engine.fronts)
+    if engine.antipodal_only:
+        assert all(status[i] == status[j] for i, j in enumerate(engine.complement))
+    if engine.max_cardinality is not None:
+        assert engine.in_count <= engine.max_cardinality
+
+
+ENGINE_KINDS = {"plain": {}, "antipodal": {"antipodal_only": True}, "capped": {"max_cardinality": 16}}
+
+
+class TestEngine:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_assign_mark_undo_against_recomputed_state(self, n, kind):
+        # a cap of n words binds within these random sequences, 16 does not
+        kw = {"max_cardinality": n} if kind == "capped" else ENGINE_KINDS[kind]
+        rng = random.Random(f"{n}-{kind}")
+        engine = _Engine(n, **kw)
+        marks = [(engine.mark(), engine_fields(engine))]
+        failed = restored = 0
+        for _ in range(400):
+            step = rng.random()
+            if step < 0.2:
+                marks.append((engine.mark(), engine_fields(engine)))
+                continue
+            undecided = engine.undecided_indices()
+            if step < 0.35 or not undecided:
+                mark, fields = rng.choice(marks)  # any mark, not only the last
+                engine.undo(mark)
+                assert engine_fields(engine) == fields
+                restored += 1
+                continue
+            word = rng.choice(undecided) if rng.random() < 0.9 else rng.randrange(len(engine.status))
+            if engine.assign(word, rng.choice((_Engine.IN, _Engine.OUT))):
+                check_engine_state(engine)
+            else:
+                failed += 1
+                mark, fields = rng.choice(marks)
+                engine.undo(mark)
+                assert engine_fields(engine) == fields
+        assert failed and restored
+
+    @pytest.mark.parametrize("n,kind", [(n, kind) for n in (6, 8) for kind in ENGINE_KINDS]
+                             + [(10, "antipodal")])
+    def test_units_resume_like_a_replay_from_the_seed(self, n, kind):
+        kw = ENGINE_KINDS[kind]
+        # smaller splits leave units at n = 6, where the default target
+        # splits the whole tree; a target of 1 keeps the seed itself (too
+        # slow to search twice at n = 10)
+        checked = 0
+        for target in (1, 2, _UNITS_PER_THREAD) if n < 10 else (_UNITS_PER_THREAD,):
+            engine = _Engine(n, **kw)
+            assert all(engine.assign(idx, val) for idx, val in engine.seed_decisions())
+            units = _expand_units(engine, target)[0]
+            # the shared engine is left wherever the last unit ended
+            for unit in reversed(units):
+                assert unit.decisions[len(unit.decisions) - len(unit.tail):] == unit.tail
+                fresh, out = _Engine(n, **kw), []
+                replay = [*fresh.seed_decisions(), *unit.decisions]
+                if all(fresh.assign(idx, val) for idx, val in replay):
+                    _search(fresh, out)
+                assert _search_unit(engine, unit.start, unit.tail) == (out, fresh.nodes)
+                checked += 1
+        assert checked
+
+
 class TestSeedGroup:
     def test_order(self):
         for n, order in ((4, 8), (6, 48), (8, 384), (10, 3840)):
@@ -410,6 +517,49 @@ class TestThreadsAndCheckpoints:
         two = classify_extended_unitrades(SearchConfig(n=6, threads=2))
         assert [c.representative for c in one] == [c.representative for c in two]
         assert [c.flags for c in one] == [c.flags for c in two]
+
+    def test_worker_pool_is_bounded_by_cpus_and_units(self, monkeypatch, tmp_path):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        cpus = {"count": 64}
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus["count"])
+        serial = _run_enumeration(SearchConfig(n=8, threads=4))
+        for count, size in ((64, 4), (3, 3), (1, None), (None, None)):
+            cpus["count"] = count
+            sizes.clear()
+            # the split follows the thread count, so the results do not move
+            assert _run_enumeration(SearchConfig(n=8, threads=4)) == serial, count
+            assert sizes == ([size] if size else []), count
+        # a checkpoint that leaves two units to search
+        cpus["count"] = 64
+        path = tmp_path / "pool.ckpt"
+        cfg = SearchConfig(n=8, threads=4, checkpoint_path=str(path))
+        units = serial[1]["searched"]
+        path.write_text(json.dumps({
+            "version": 2, "filters": cfg.filter_key(), "unit_count": units,
+            "completed": {str(i): [] for i in range(2, units)},
+        }))
+        sizes.clear()
+        _run_enumeration(cfg)
+        assert sizes == [2]
+        assert sorted(json.loads(path.read_text())["completed"], key=int) == [
+            str(i) for i in range(units)]
 
     def test_checkpoint_resume(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -645,6 +795,17 @@ class TestMaxPacking:
                 assert v in dying[balls[v][0]]
                 assert weight(words[next_weight[v] - 1]) == weight(w)
                 assert next_weight[v] == len(words) or weight(words[next_weight[v]]) == weight(w) + 1
+
+    def test_large_tables_are_built_per_call(self):
+        max_packing_size(4, 2, 3, 1)
+        before = _packing_tables.cache_info()
+        # 1,024 balls of 1,024 entries each: over the cached size
+        assert max_packing_size(10, 2, 1, 10) == 1
+        after = _packing_tables.cache_info()
+        assert (after.misses, after.hits, after.currsize) == (
+            before.misses, before.hits, before.currsize)
+        max_packing_size(4, 2, 3, 1)
+        assert _packing_tables.cache_info().hits == after.hits + 1
 
     def test_twofold_values(self):
         # frozen from the exhaustive oracle itself
