@@ -7,8 +7,8 @@ of them non-bipartite: L*(6)10 u L*(6)01 (20 words) and L*(8)
 (24 words).  The three 32-word classes are the optimal even-weight
 2-fold 1-packings of length 8.
 
-The full length-10 run (30 non-bipartite classes, three of cardinality
-96) is an opt-in long job:
+The full length-10 run (32 non-bipartite classes, 30 of them primary,
+three of cardinality 96) is an opt-in long job:
 
     hampack classify --n 10 --nonbipartite --threads 4 --checkpoint run.ckpt --out classes10/
 """

@@ -9,11 +9,12 @@ The central objects being verified:
   * extended 1-perfect unitrades: constant-parity binary sets where the
     balls centered at opposite-parity words meet the set in 0 or 2.
 
-For n >= 5 the extended property of a set without repeated words has
-an equivalent reading inside the halved n-cube (vertices = one parity
-class, adjacency = distance 2): the set induces a subgraph of degree
-exactly n/2 with no triangles.  ``is_extended_unitrade`` evaluates both
-readings on such sets and insists they agree.
+Each property is read once, by exact ball counts: over the balls
+around the codewords, or over the whole space when those balls would
+cover half of it or more.  For n >= 5 the extended property of a set
+without repeated words has an equivalent reading inside the halved
+n-cube (degree exactly n/2, no triangles), which the tests use as an
+oracle.
 
 All distributions (distance distribution, MacWilliams transform) are
 computed in exact rational arithmetic, so nonnegativity of the dual
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .core import Code, Space, Word, _check_same_space, _code, _word, ball, hamming_distance
+from .core import Code, Space, Word, _ball_keys, _check_same_space, _code, _word, hamming_distance
 
 # ---------------------------------------------------------------------------
 # packing verification
@@ -54,9 +55,9 @@ class PackingReport:
 def _coverage_counts_union(code: Code, r: int) -> dict:
     """Coverage counts over the union of balls around codewords."""
     counts: dict = {}
-    for c in code.words:
-        for v in ball(c, r):
-            counts[v.key] = counts.get(v.key, 0) + 1
+    for c in code.keys:
+        for k in _ball_keys(code.space, c, r):
+            counts[k] = counts.get(k, 0) + 1
     return counts
 
 
@@ -69,13 +70,14 @@ def _coverage_counts_full(code: Code, r: int) -> dict:
     return counts
 
 
-def verify_packing(code: Code, lam: int, r: int, force_full_scan: bool = False) -> PackingReport:
+def verify_packing(code: Code, lam: int, r: int) -> PackingReport:
     """Exact maximum coverage over all vertices of the space.
 
     Vertices covering at least one codeword all lie in some ball around
     a codeword, so scanning the union of those balls finds the true
-    maximum whenever the code is nonempty; the full-space scan is kept
-    for small spaces and as a cross-check.
+    maximum whenever the code is nonempty.  A dense code, whose balls
+    hold at least half the space (2·|C|·|B_r| >= q^n), is counted by the
+    full-space scan instead; both kernels give the same counts.
     """
     if type(lam) is not int or lam < 1:
         raise ValueError("lambda must be a positive int")
@@ -85,7 +87,7 @@ def verify_packing(code: Code, lam: int, r: int, force_full_scan: bool = False) 
     dups = tuple(code.duplicate_words())
     if len(code) == 0:
         return PackingReport(0, None, lam, True, dups)
-    use_union = (2 * len(code) * space.ball_size(r) < space.size) and not force_full_scan
+    use_union = 2 * len(code) * space.ball_size(r) < space.size
     counts = _coverage_counts_union(code, r) if use_union else _coverage_counts_full(code, r)
     max_cov = max(counts.values())
     witness_key = min(k for k, v in counts.items() if v == max_cov)
@@ -117,28 +119,13 @@ def is_unitrade(t_set: Code) -> CheckResult:
     return CheckResult(True, None)
 
 
-def _halved_cube_check(t_set: Code) -> bool:
-    """Degree-n/2, triangle-free reading inside the halved n-cube."""
-    n = t_set.space.n
-    key_set = set(t_set.keys)
-    for k in t_set.keys:
-        nbrs = [m for m in key_set if (k ^ m).bit_count() == 2]
-        if 2 * len(nbrs) != n:
-            return False
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if (a ^ b).bit_count() == 2:
-                    return False
-    return True
-
-
 def is_extended_unitrade(t_set: Code) -> CheckResult:
     """Constant-parity set meeting opposite-parity balls in 0 or 2 words.
 
-    For n >= 5 and no repeated word the definitional ball scan is
-    cross-checked against the halved-cube characterization; disagreement
-    would be an internal error and raises.  Balls count repeated words
-    with multiplicity, as in ``is_unitrade``.
+    One reading, the definitional ball count: only the balls centred at
+    the opposite-parity neighbours of members can meet the set, so no
+    full scan is needed, and nothing cross-checks the count at run time.
+    Balls count repeated words with multiplicity, as in ``is_unitrade``.
     """
     space = t_set.space
     if space.q != 2:
@@ -153,11 +140,6 @@ def is_extended_unitrade(t_set: Code) -> CheckResult:
             c = t ^ (1 << b)
             counts[c] = counts.get(c, 0) + 1
     bad = [k for k, v in counts.items() if v != 2]
-    verdict = not bad
-    if space.n >= 5 and len(set(t_set.keys)) == len(t_set) > 0:
-        alt = _halved_cube_check(t_set)
-        if alt != verdict:
-            raise AssertionError("ball scan and halved-cube characterization disagree")
     if bad:
         return CheckResult(False, _word(space, min(bad)))
     return CheckResult(True, None)
@@ -191,22 +173,37 @@ class Bipartition:
         return self.bipartite
 
 
+def _spread(q: int, key: bytes) -> int:
+    """A q-ary key with each symbol spread one-hot over q bits."""
+    return sum(1 << (q * i + s) for i, s in enumerate(key))
+
+
 def _distance_rows(space: Space, keys: Sequence[int | bytes], others: Sequence[int | bytes]):
     """For each key, the list of its distances to the keys ``others``.
 
-    q-ary symbols are spread one-hot over q bits, so for every q the
+    q-ary keys are spread one-hot over q bits, so for every q the
     distance is the popcount of an XOR (halved when q > 2).
     """
     shift = 0 if space.q == 2 else 1
     if shift:
-        q = space.q
-
-        def spread(key: bytes) -> int:
-            return sum(1 << (q * i + s) for i, s in enumerate(key))
-
-        keys, others = [spread(k) for k in keys], [spread(k) for k in others]
+        keys, others = [_spread(space.q, k) for k in keys], [_spread(space.q, k) for k in others]
     for a in keys:
         yield [(a ^ b).bit_count() >> shift for b in others]
+
+
+def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
+    """counts[d]: the pairs i < j of ``keys`` at distance d, d = 0..n.
+
+    Spread q-ary keys differ in an even number of bits, twice their
+    distance, so their counts are read off at the even popcounts."""
+    if space.q == 2:
+        counts = [0] * (space.n + 1)
+    else:
+        keys, counts = [_spread(space.q, k) for k in keys], [0] * (2 * space.n + 1)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            counts[(a ^ b).bit_count()] += 1
+    return counts if space.q == 2 else counts[::2]
 
 
 def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
@@ -435,12 +432,11 @@ def distance_data(code: Code, x: Optional[Word] = None) -> DistanceData:
     if len(code) == 0:
         raise ValueError("distance distribution of an empty code is undefined")
     n = code.space.n
-    pair_counts = [0] * (n + 1)
-    for row in _distance_rows(code.space, code.keys, code.keys):
-        for d in row:
-            pair_counts[d] += 1
     size = len(code)
-    b_dist = tuple(Fraction(c, size) for c in pair_counts)
+    # B counts ordered pairs, each word paired with itself too
+    ordered = [2 * c for c in _distance_counts(code.space, code.keys)]
+    ordered[0] += size
+    b_dist = tuple(Fraction(c, size) for c in ordered)
     a_x = weight_distribution(code, x) if x is not None else None
     if code.space.q == 2:
         table = tuple(tuple(krawtchouk(n, k, i) for i in range(n + 1)) for k in range(n + 1))
@@ -472,7 +468,8 @@ def average_distance(t_set: Code, v: Word) -> Fraction:
     """Exact average Hamming distance from v to the members."""
     if len(t_set) == 0:
         raise ValueError("average distance to an empty set is undefined")
-    return Fraction(sum(hamming_distance(v, w) for w in t_set.words), len(t_set))
+    a_v = weight_distribution(t_set, v)
+    return Fraction(sum(i * a for i, a in enumerate(a_v)), len(t_set))
 
 
 def inner_radius(t_set: Code) -> int:

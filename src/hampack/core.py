@@ -228,24 +228,26 @@ def ball(center: Word, r: int) -> Iterator[Word]:
     space = center.space
     if not 0 <= r <= space.n:
         raise ValueError(f"radius {r} out of range 0..{space.n}")
+    return (_word(space, k) for k in _ball_keys(space, center.key, r))
+
+
+def _ball_keys(space: Space, key: int | bytes, r: int) -> Iterator[int | bytes]:
+    """Keys of the words at distance <= r from ``key``, each exactly once:
+    by distance, then by changed positions, then by symbol shifts."""
     n, q = space.n, space.q
     if q == 2:
-        key = center.key
+        bits = [1 << (n - 1 - i) for i in range(n)]
         for k in range(r + 1):
-            for positions in combinations(range(n), k):
-                flip = 0
-                for i in positions:
-                    flip |= 1 << (n - 1 - i)
-                yield _word(space, key ^ flip)
-    else:
-        base = center.key
-        for k in range(r + 1):
-            for positions in combinations(range(n), k):
-                for deltas in product(range(1, q), repeat=k):
-                    syms = bytearray(base)
-                    for i, d in zip(positions, deltas):
-                        syms[i] = (syms[i] + d) % q
-                    yield _word(space, bytes(syms))
+            for flips in combinations(bits, k):
+                yield key ^ sum(flips)
+        return
+    for k in range(r + 1):
+        for positions in combinations(range(n), k):
+            for deltas in product(range(1, q), repeat=k):
+                syms = bytearray(key)
+                for i, d in zip(positions, deltas):
+                    syms[i] = (syms[i] + d) % q
+                yield bytes(syms)
 
 
 def coverage_multiplicity(code: "Code", v: Word, r: int) -> int:

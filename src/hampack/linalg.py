@@ -88,17 +88,12 @@ def gf2_span(gens: BinaryMatrix | Sequence[Word], space: Space | None = None) ->
     return Code.from_bits(space, span)
 
 
-def gf2_rank(code: Code | Sequence[Word]) -> int:
+def gf2_rank(code: Code) -> int:
     """Dimension of the GF(2) span of the words."""
-    if isinstance(code, Code):
-        keys, binary = code.keys, code.space.q == 2 or not code.keys
-    else:
-        words = list(code)
-        keys, binary = [w.key for w in words], all(w.space.q == 2 for w in words)
-    if not binary:
+    if code.space.q != 2 and code.keys:
         raise ValueError("gf2_rank requires q=2")
     basis: list[int] = []
-    for v in keys:
+    for v in code.keys:
         for b in basis:
             v = min(v, v ^ b)
         if v:

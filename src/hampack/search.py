@@ -76,8 +76,8 @@ from math import comb
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .analysis import _bipartition, _reducibility, is_antipodal, is_extended_unitrade
-from .bounds import lp_bound
+from .analysis import _bipartition, _distance_counts, _reducibility, is_antipodal, is_extended_unitrade
+from .bounds import lp_bound, sphere_packing_bound
 from .core import Code, Space, _code
 
 _MIN_N, _MAX_N = 4, 12
@@ -227,14 +227,6 @@ def canonical_form(t_set: Code) -> Code:
     return _code(t_set.space, _canonical_form_keys(t_set))
 
 
-def _distance_profile(keys: Sequence[int]) -> tuple[int, ...]:
-    counts = [0] * 65
-    for i, x in enumerate(keys):
-        for y in keys[i + 1:]:
-            counts[(x ^ y).bit_count()] += 1
-    return tuple(counts)
-
-
 def are_equivalent(a: Code, b: Code) -> bool:
     """One set maps to the other under a coordinate permutation plus a
     translation; decided by comparing canonical forms."""
@@ -244,7 +236,7 @@ def are_equivalent(a: Code, b: Code) -> bool:
         raise ValueError("equivalence is implemented for q=2 only")
     if len(a) != len(b):
         return False
-    if _distance_profile(a.keys) != _distance_profile(b.keys):
+    if _distance_counts(a.space, a.keys) != _distance_counts(b.space, b.keys):
         return False
     return _canonical_form_keys(a) == _canonical_form_keys(b)
 
@@ -833,6 +825,7 @@ def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
     result = []
     for canon, bip in classes.items():
         rep = _code(space, canon)
+        # the only run-time guard on n = 10 and 12 output: no tier-1 test enumerates them
         if not is_extended_unitrade(rep).ok:
             raise AssertionError("classification produced a non-unitrade representative")
         red = _reducibility(rep)
@@ -964,7 +957,7 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
         balls, dying, next_weight = _packing_tables(n, q, r)
     else:  # built for this call alone
         balls, dying, next_weight = _packing_tables.__wrapped__(n, q, r)
-    cap = lam * size // ball_size
+    cap = sphere_packing_bound(n, q, lam, r)
     if q == 2 and r == 1 and n >= 2:
         cap = min(cap, lp_bound(n, lam).value)
 

@@ -1,0 +1,29 @@
+"""Independent readings that the tests hold the library's answers against.
+
+They read a code's space and keys, and share no code with ``hampack``.
+"""
+
+from itertools import combinations
+
+
+def halved_cube_reading(t_set) -> bool:
+    """The extended-unitrade property of a constant-parity binary set
+    without repeated words, read inside the halved n-cube (one parity
+    class, adjacency = distance 2).
+
+    For n >= 5 the set is an extended 1-perfect unitrade exactly when it
+    induces a subgraph of degree n/2 with no triangles: each member meets
+    each of its n balls in one more member, two members at distance 2
+    share two balls, and a triangle puts three members in one ball.
+    """
+    n = t_set.space.n
+    members = set(t_set.keys)
+    assert len(members) == len(t_set), "the reading needs a set without repeats"
+    pair_flips = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
+    for k in members:
+        nbrs = [k ^ f for f in pair_flips if k ^ f in members]
+        if 2 * len(nbrs) != n:
+            return False
+        if any((a ^ b).bit_count() == 2 for a, b in combinations(nbrs, 2)):
+            return False
+    return True

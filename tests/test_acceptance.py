@@ -23,7 +23,6 @@ from hampack.analysis import (
     pair_profile,
     verify_packing,
     weight_distribution,
-    _halved_cube_check,
 )
 from hampack.bounds import (
     hamming_eigenvalue_bound,
@@ -48,6 +47,7 @@ from hampack.search import (
     max_twofold_packing_size,
     min_extended_unitrade_size,
 )
+from oracles import halved_cube_reading
 
 
 def test_criterion_01_bounds_table():
@@ -148,7 +148,7 @@ def test_criterion_07_property_suites(all_pairs):
         assert is_extended_unitrade(t).ok
         # halved-cube characterization agrees for n >= 5
         if n >= 5:
-            assert _halved_cube_check(t)
+            assert halved_cube_reading(t)
         # strength-1 orthogonal array
         assert oa_strength1_check(t)
         # exact average distance n/2 from 5 random words

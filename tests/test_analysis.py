@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +27,8 @@ from hampack.analysis import (
     weight_distribution,
 )
 from hampack.core import Code, Space, Word, hamming_distance, weight
+from hampack.search import SearchConfig, classify_extended_unitrades
+from oracles import halved_cube_reading
 
 
 def bword(s: str) -> Word:
@@ -74,14 +77,6 @@ class TestVerifyPacking:
         report = verify_packing(code, 1, 1)
         assert not report.is_lambda_fold
         assert report.max_coverage == 2
-
-    def test_scan_paths_agree(self):
-        rng = random.Random(20)
-        for _ in range(10):
-            code = random_code(rng, 6, rng.randrange(1, 9))
-            a = verify_packing(code, 2, 1)
-            b = verify_packing(code, 2, 1, force_full_scan=True)
-            assert (a.max_coverage, a.witness) == (b.max_coverage, b.witness)
 
     def test_extension_preserves_fold(self):
         rng = random.Random(21)
@@ -144,6 +139,41 @@ class TestUnitradePredicates:
     def test_lstar_family(self):
         for n in (6, 8, 10):
             assert is_extended_unitrade(constructions.l_star(n)).ok
+
+
+def _oracle_sets(all_pairs) -> list[Code]:
+    """Extended unitrades of every constructed family, and every class
+    representative at lengths 6 and 8."""
+    diag, lstar = constructions.diagonal_unitrade, constructions.l_star
+    sets = [lstar(n) for n in (6, 8, 10, 12)] + [diag(n) for n in (6, 8, 10)]
+    sets += [constructions.concatenate(diag(4), diag(4)),
+             constructions.concatenate(lstar(6), diag(2)),
+             constructions.concatenate(lstar(6), lstar(6))]
+    sets += [c4 for _, c4 in all_pairs.values()] + [constructions.classified_C4_display()]
+    for n in (6, 8):
+        sets += [cl.representative for cl in classify_extended_unitrades(SearchConfig(n=n))]
+    return sets
+
+
+def _near_misses(rng, t_set: Code) -> tuple[Code, Code]:
+    """The set with one word moved by distance 2 onto a non-member, and
+    the set with one word dropped."""
+    keys = list(t_set.keys)
+    i = rng.randrange(len(keys))
+    moves = [keys[i] ^ (1 << a) ^ (1 << b) for a, b in combinations(range(t_set.space.n), 2)]
+    target = rng.choice([k for k in moves if k not in t_set.keys])
+    space = t_set.space
+    return (Code.from_bits(space, keys[:i] + [target] + keys[i + 1:]),
+            Code.from_bits(space, keys[:i] + keys[i + 1:]))
+
+
+def test_ball_count_and_halved_cube_reading_agree(all_pairs):
+    """Both readings accept every family and reject every near miss."""
+    rng = random.Random(31)
+    for t in _oracle_sets(all_pairs):
+        assert is_extended_unitrade(t).ok and halved_cube_reading(t), t
+        for miss in _near_misses(rng, t):
+            assert not is_extended_unitrade(miss).ok and not halved_cube_reading(miss), t
 
 
 class TestBipartiteness:
@@ -471,6 +501,8 @@ class TestKeyKernelsAgainstReferences:
             assert data.A_x == tuple(sum(1 for c in code.words if hamming_distance(c, x) == i)
                                      for i in range(code.space.n + 1))
             assert inner_radius(code) == ref_inner_radius(code)
+            total = sum(hamming_distance(c, x) for c in code.words)
+            assert average_distance(code, x) == Fraction(total, len(code))
 
     def test_conflicts_splits_and_components(self, reference_samples):
         plain, extended, others = reference_samples

@@ -16,6 +16,7 @@ from hampack.analysis import (
     is_antipodal,
     is_bipartite_unitrade,
     is_extended_unitrade,
+    primary_components,
     reducibility_certificate,
 )
 from hampack.bounds import lp_bound, sphere_packing_bound
@@ -886,14 +887,27 @@ class TestLongJobs:
         assert [c.cardinality for c in classes] == [80]
 
     def test_n10_full_classification(self):
+        # 30 primary (connected) classes, and two 80-word disjoint unions
+        # of two 40-word unitrades
         classes = classify_extended_unitrades(SearchConfig(n=10, nonbipartite_only=True))
-        cards = [c.cardinality for c in classes]
-        assert len(classes) == 30
-        assert sorted(cards) == [
+        pieces = [[len(p) for p in primary_components(c.representative, extended=True)]
+                  for c in classes]
+        primary = [c for c, sizes in zip(classes, pieces) if len(sizes) == 1]
+        assert len(classes) == 32 and len(primary) == 30
+        assert sorted(c.cardinality for c in primary) == [
             40, 48, 50, 56, 56, 58, 62, 62, 70, 70, 70, 72, 72, 72, 72, 72,
             72, 72, 72, 72, 76, 80, 80, 80, 86, 88, 88, 96, 96, 96,
         ]
-        assert sum(1 for c in classes if c.constant_weight_translate) == 11
+        assert sum(1 for c in primary if c.constant_weight_translate) == 11
+        unions = [(c, sizes) for c, sizes in zip(classes, pieces) if len(sizes) != 1]
+        assert len(unions) == 2
+        for c, sizes in unions:
+            assert c.cardinality == 80 and sizes == [40, 40]
+            assert c.flags == {"bipartite": False, "antipodal": False,
+                               "constant_weight_translate": False, "irreducible": False}
+            assert c.reducibility_kind == "unknown"
+        reps = [c.representative.keys for c in classes]
+        assert hashlib.sha256(repr(reps).encode()).hexdigest()[:16] == "f22478d950791b96"
 
     def test_min_unitrade_size_n10(self):
         assert min_extended_unitrade_size(10) == 32
