@@ -30,7 +30,9 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .core import Code, Space, Word, _ball_keys, _check_same_space, _code, _word, hamming_distance
+from .core import (
+    Code, Space, Word, _ball_keys, _check_radius, _check_same_space, _code, _word, hamming_distance,
+)
 
 # ---------------------------------------------------------------------------
 # packing verification
@@ -82,8 +84,7 @@ def verify_packing(code: Code, lam: int, r: int) -> PackingReport:
     if type(lam) is not int or lam < 1:
         raise ValueError("lambda must be a positive int")
     space = code.space
-    if not 0 <= r <= space.n:
-        raise ValueError(f"radius {r} out of range 0..{space.n}")
+    _check_radius(space.n, r)
     dups = tuple(code.duplicate_words())
     if len(code) == 0:
         return PackingReport(0, None, lam, True, dups)

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from .core import _check_radius
+
 
 def _validate_params(n: int, q: int) -> None:
     # bounds are pure arithmetic: no digit-string or bit-packing limits apply
@@ -39,8 +41,7 @@ def _validate_params(n: int, q: int) -> None:
 
 
 def _ball_size(n: int, q: int, r: int) -> int:
-    if not 0 <= r <= n:
-        raise ValueError(f"radius {r} out of range 0..{n}")
+    _check_radius(n, r)
     return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
 
 

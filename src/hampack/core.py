@@ -81,8 +81,7 @@ class Space:
 
     def ball_size(self, r: int) -> int:
         """|B_r| = sum_{i<=r} C(n,i)(q-1)^i."""
-        if not 0 <= r <= self.n:
-            raise ValueError(f"radius {r} out of range 0..{self.n}")
+        _check_radius(self.n, r)
         return sum(comb(self.n, i) * (self.q - 1) ** i for i in range(r + 1))
 
     def __iter__(self) -> Iterator["Word"]:
@@ -223,11 +222,16 @@ def antipode(x: Word) -> Word:
     return _word(x.space, x.key ^ ((1 << x.space.n) - 1))
 
 
+def _check_radius(n: int, r: int) -> None:
+    """The one check of a ball radius: an int in 0..n (a bool is refused)."""
+    if type(r) is not int or not 0 <= r <= n:
+        raise ValueError(f"radius must be an int in 0..{n}, got {r!r}")
+
+
 def ball(center: Word, r: int) -> Iterator[Word]:
     """All words at distance <= r from the center, each exactly once."""
     space = center.space
-    if not 0 <= r <= space.n:
-        raise ValueError(f"radius {r} out of range 0..{space.n}")
+    _check_radius(space.n, r)
     return (_word(space, k) for k in _ball_keys(space, center.key, r))
 
 

@@ -27,15 +27,15 @@ permuted and swapped inside (384 elements at n = 8).  A classification
 splits the tree below the seed into units, lists of IN and OUT
 decisions, and drops a unit whose decisions are the G-image of a kept
 unit's: propagation commutes with G, so its subtree lists exactly the
-images of the kept unit's unitrades.  The engine's marks are snapshots
-of its state, so each unit is stored with its parent node's mark and
-resumes from it with only its own last decisions applied; no unit
-replays the seed or its ancestors.  Serial runs, worker processes and
-checkpoints all search the kept units.  Of the unitrades found, one per
-G-orbit is kept (bucketed by a G-invariant and tested against the kept
-ones); the nonbipartite filter then drops bipartite ones, since
-bipartiteness is an isometry invariant; and only the rest get canonical
-forms, which merge the G-orbits into classes.
+images of the kept unit's unitrades.  The split walks the search's own
+node, so it branches exactly as the search does.  The engine's marks
+are snapshots of its state, and each unit holds a snapshot of its own
+state; a unit is searched from it and replays no decision.  Serial
+runs, worker processes and checkpoints all search the kept units.  Of
+the unitrades found, one per G-orbit is kept (bucketed by a G-invariant
+and tested against the kept ones); the nonbipartite filter then drops
+bipartite ones, since bipartiteness is an isometry invariant; and only
+the rest get canonical forms, which merge the G-orbits into classes.
 
 Equivalence is the isometry group of H(n, 2) acting on vertex sets:
 coordinate permutations composed with translations (odd-parity sets are
@@ -404,12 +404,15 @@ class _Engine:
         return decisions
 
 
-def _node(engine: _Engine, out: list) -> Iterator[None]:
-    """One node of the exhaustive DFS from the current engine state.
+def _node(engine: _Engine, out: list) -> Iterator[tuple[int, list[int]]]:
+    """One node of the exhaustive DFS from the current engine state, the
+    only branching rule of the search and of the unit split.
 
     Records the unitrade closed at the node into ``out``, and yields once
-    per child with the child's decision applied; the caller searches the
-    child before resuming, and the node undoes its decisions itself.
+    per child with the child's decisions applied: the word set IN and the
+    node's running list of words set OUT, which a caller that keeps it
+    copies.  The caller searches the child before resuming, and the node
+    undoes its decisions itself.
 
     A unitrade T touches each clique it meets in exactly two words, and
     each word lies in n cliques, so |T|·n = 2·touched(T).  Touched cliques
@@ -421,12 +424,13 @@ def _node(engine: _Engine, out: list) -> Iterator[None]:
     limit = engine.max_cardinality
     if limit is not None and -(-2 * engine.touched // engine.n) > limit:
         return
+    outs: list[int] = []
     cands = engine.pick_front()
     if cands is not None:
         mk = engine.mark()
         for mj in cands:
             if engine.assign(mj, engine.IN):
-                yield
+                yield mj, outs
             engine.undo(mk)
         return
     # quiescent: the current in-set is a complete extended unitrade
@@ -440,10 +444,11 @@ def _node(engine: _Engine, out: list) -> Iterator[None]:
             continue
         mk = engine.mark()
         if engine.assign(w, engine.IN):
-            yield
+            yield w, outs
         engine.undo(mk)
         if not engine.assign(w, engine.OUT):
             break
+        outs.append(w)
     engine.undo(frame)
 
 
@@ -453,32 +458,36 @@ def _search(engine: _Engine, out: list) -> None:
     keeps the depth off the interpreter's call stack."""
     stack = [_node(engine, out)]
     while stack:
-        if next(stack[-1], True) is None:  # a child's decision is applied
+        if next(stack[-1], None) is not None:  # a child's decisions are applied
             stack.append(_node(engine, out))
         else:
             stack.pop()
 
 
-def _search_unit(
-    engine: _Engine, start: tuple, tail: Sequence[tuple[int, int]]
-) -> tuple[list[tuple[int, ...]], int]:
-    """Every unitrade below the state ``start`` (a mark) and the decisions
-    in ``tail``, and the search nodes; nothing, and no node, if the
-    decisions contradict the state."""
+def _search_unit(engine: _Engine, start: tuple) -> tuple[list[tuple[int, ...]], int]:
+    """Every unitrade below the state ``start`` (a mark), and the search
+    nodes."""
     engine.undo(start)
     out: list[tuple[int, ...]] = []
     nodes = engine.nodes
-    if all(engine.assign(idx, val) for idx, val in tail):
-        _search(engine, out)
+    _search(engine, out)
     return out, engine.nodes - nodes
+
+
+def _seeded_engine(
+    n: int, antipodal_only: bool = False, max_cardinality: Optional[int] = None
+) -> Optional[_Engine]:
+    """An engine in the seed's state; None if the seed breaks the cap."""
+    engine = _Engine(n, antipodal_only, max_cardinality)
+    return engine if all(engine.assign(idx, val) for idx, val in engine.seed_decisions()) else None
 
 
 def _enumerate_with_seed(
     n: int, antipodal_only: bool = False, max_cardinality: Optional[int] = None
 ) -> tuple[list[tuple[int, ...]], int]:
     """Every unitrade below the seed, and the search nodes."""
-    engine = _Engine(n, antipodal_only, max_cardinality)
-    return _search_unit(engine, engine.mark(), engine.seed_decisions())
+    engine = _seeded_engine(n, antipodal_only, max_cardinality)
+    return _search_unit(engine, engine.mark()) if engine is not None else ([], 0)
 
 
 # A worker process builds one engine when it starts and searches every
@@ -491,10 +500,8 @@ def _start_worker(n: int, antipodal_only: bool, max_cardinality: Optional[int]) 
     _worker_engine = _Engine(n, antipodal_only, max_cardinality)
 
 
-def _search_unit_in_worker(
-    start: tuple, tail: Sequence[tuple[int, int]]
-) -> tuple[list[tuple[int, ...]], int]:
-    return _search_unit(_worker_engine, start, tail)
+def _search_unit_in_worker(start: tuple) -> tuple[list[tuple[int, ...]], int]:
+    return _search_unit(_worker_engine, start)
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +671,15 @@ class _OrbitSieve:
 # Kept units to split the tree into, per worker: splitting deeper rejects
 # more isomorphic subtrees but costs sieve tests on every generated unit.
 _UNITS_PER_THREAD = 8
-_CHECKPOINT_VERSION = 2  # 1: units split without the seed group
+_CHECKPOINT_VERSION = 3  # 1: no seed group; 2: units split by their own rule
 
 
 class _Unit(NamedTuple):
     """A subtree below the seed: its decisions from the seed (IN and OUT
-    literals, for the sieve), the mark of its parent node, and the
-    decisions taken past that node."""
+    literals, for the sieve), and the mark of its own state."""
 
     decisions: list[tuple[int, int]]
     start: tuple
-    tail: list[tuple[int, int]]
 
 
 def _expand_units(
@@ -682,47 +687,34 @@ def _expand_units(
 ) -> tuple[list[_Unit], list[tuple[int, ...]], dict[str, int]]:
     """Split the search tree below the engine's state into units.
 
-    A unit whose decisions are the image of a kept unit's under the seed
+    A unit is expanded by walking ``_node`` from its mark, and each child
+    is kept with the decisions that reach it and a mark of its state.  A
+    child whose decisions are the image of a kept unit's under the seed
     group is dropped: propagation commutes with the group, so its subtree
     lists the images of the kept unit's unitrades.  A kept unit that is
     split further stays covered by its children and by the unitrade
-    closed at it, so rejection acts at every level.  A unit is expanded
-    or searched from its parent's mark, with only its own last decisions
-    applied.  Returns (units, closed, counts): ``closed`` collects the
-    complete unitrades encountered at the expanded nodes themselves (the
-    'stop here' alternative of the extension branching), and ``counts``
-    the units generated and rejected.
+    closed at it, so rejection acts at every level.  Returns (units,
+    closed, counts): ``closed`` collects the complete unitrades closed at
+    the expanded nodes themselves (the 'stop here' alternative of the
+    extension branching), and ``counts`` the units generated, rejected
+    and left to search.
     """
     sieve = _OrbitSieve(engine.n)
     evens, IN, OUT = engine.evens, engine.IN, engine.OUT
-    units = [_Unit([], engine.mark(), [])]
+    units = [_Unit([], engine.mark())]
     closed: list[tuple[int, ...]] = []
     generated = rejected = 0
     while units and len(units) < target:
         units.sort(key=lambda u: len(u.decisions))
         unit = units.pop(0)
         engine.undo(unit.start)
-        if not all(engine.assign(idx, val) for idx, val in unit.tail):
-            continue
-        here = engine.mark()
-        tails: list[list[tuple[int, int]]] = []
-        cands = engine.pick_front()
-        if cands is not None:
-            tails = [[(mj, IN)] for mj in cands]
-        else:
-            closed.append(engine.in_keys())
-            limit = engine.max_cardinality
-            if not (limit is not None and engine.in_count >= limit):
-                undecided = engine.undecided_indices()
-                tails = [[(u, OUT) for u in undecided[:pos]] + [(w, IN)]
-                         for pos, w in enumerate(undecided)]
-        for tail in tails:
+        for w, outs in _node(engine, closed):
             generated += 1
-            child = unit.decisions + tail
+            child = unit.decisions + [(u, OUT) for u in outs] + [(w, IN)]
             literals = ([evens[i] for i, v in child if v == IN],
                         [evens[i] for i, v in child if v != IN])
             if sieve.is_new(literals):
-                units.append(_Unit(child, here, tail))
+                units.append(_Unit(child, engine.mark()))
             else:
                 rejected += 1
     return units, closed, {"units": generated, "rejected": rejected, "searched": len(units)}
@@ -731,16 +723,15 @@ def _expand_units(
 def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str, int]]:
     """The unitrades found below the kept units and while splitting, which
     hold a member of every class, and the work counts: units generated,
-    rejected and searched, and the engine nodes searched in this call.
+    rejected and searched, and the search nodes of the units in this call.
 
     ``cfg.threads`` sets how finely the tree is split; the units are
     searched by at most that many worker processes, and by no more than
     there are CPUs or units to search, which leaves the results alone."""
-    engine = _Engine(cfg.n, cfg.antipodal_only, cfg.max_cardinality)
     counts = {"units": 0, "rejected": 0, "searched": 0, "nodes": 0}
-    for idx, val in engine.seed_decisions():
-        if not engine.assign(idx, val):
-            return [], counts
+    engine = _seeded_engine(cfg.n, cfg.antipodal_only, cfg.max_cardinality)
+    if engine is None:
+        return [], counts
     units, solutions, split_counts = _expand_units(engine, _UNITS_PER_THREAD * cfg.threads)
     counts.update(split_counts)
 
@@ -756,16 +747,16 @@ def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str
         solutions.extend(tuple(s) for s in sols)
     todo = [i for i in range(len(units)) if str(i) not in state["completed"]]
 
-    args = ([units[i].start for i in todo], [units[i].tail for i in todo])
+    starts = [units[i].start for i in todo]
     workers = min(cfg.threads, os.cpu_count() or 1, len(todo))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_start_worker,
         initargs=(cfg.n, cfg.antipodal_only, cfg.max_cardinality),
     ) if workers > 1 else nullcontext() as pool:
         if pool:
-            results = pool.map(_search_unit_in_worker, *args)
+            results = pool.map(_search_unit_in_worker, starts)
         else:
-            results = map(partial(_search_unit, engine), *args)
+            results = map(partial(_search_unit, engine), starts)
         for i, (sols, nodes) in zip(todo, results):
             solutions.extend(sols)
             counts["nodes"] += nodes
@@ -792,7 +783,30 @@ def _load_checkpoint(cfg: SearchConfig, unit_count: int) -> Optional[dict]:
         raise ValueError(
             f"checkpoint {path} was written for other filters or another thread count"
         )
+    completed = state.get("completed")
+    if not isinstance(completed, dict) or not set(completed) <= {str(i) for i in range(unit_count)}:
+        raise ValueError(
+            f"checkpoint {path}: 'completed' must map unit indices below {unit_count} to solutions"
+        )
+    space = Space(cfg.n, 2)
+    for unit, sols in completed.items():
+        if not isinstance(sols, list) or not all(_is_stored_unitrade(space, s) for s in sols):
+            raise ValueError(
+                f"checkpoint {path}: unit {unit} holds a solution that is not a list of "
+                f"increasing even-weight keys forming an extended unitrade of length {cfg.n}"
+            )
     return state
+
+
+def _is_stored_unitrade(space: Space, sol: object) -> bool:
+    """Is ``sol`` a nonempty list of increasing even-weight keys of the
+    space that form an extended unitrade?"""
+    return (
+        isinstance(sol, list) and bool(sol)
+        and all(type(k) is int and 0 <= k < space.size and k.bit_count() % 2 == 0 for k in sol)
+        and all(a < b for a, b in zip(sol, sol[1:]))
+        and is_extended_unitrade(_code(space, sol)).ok
+    )
 
 
 def _save_checkpoint(cfg: SearchConfig, state: dict) -> None:
@@ -854,19 +868,17 @@ def min_extended_unitrade_size(n: int) -> int:
 
     A run capped at c words lists a member of every class of at most c
     words, so its least size is the minimum once it finds any.  The cap
-    starts at 2^(n/2), the size of the diagonal {(x, x)}, which is an
-    extended unitrade, and doubles while nothing is found.
+    is 2^(n/2), the size of the diagonal {(x, x)}, which is an extended
+    unitrade, so that one run always finds one.
     """
     if type(n) is not int or n % 2 or not 2 <= n <= _MAX_N:
         raise ValueError(f"supported lengths are even ints n in 2..{_MAX_N}")
     if n == 2:
         return 2  # both unitrades of length 2 have two words
-    cap = 1 << (n // 2)
-    while True:
-        solutions = _run_enumeration(SearchConfig(n=n, max_cardinality=cap))[0]
-        if solutions:
-            return min(map(len, solutions))
-        cap *= 2
+    solutions = _run_enumeration(SearchConfig(n=n, max_cardinality=1 << (n // 2)))[0]
+    if not solutions:
+        raise AssertionError("the capped run missed the diagonal unitrade")
+    return min(map(len, solutions))
 
 
 def max_packing_size(n: int, q: int, lam: int, r: int) -> int:
@@ -950,8 +962,6 @@ def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     size = space.size
     if size > 4096:
         raise ValueError("the exact packing search is a desk-scale oracle (q^n <= 4096)")
-    if type(r) is not int:
-        raise ValueError("radius must be an int")
     ball_size = space.ball_size(r)
     if size * ball_size <= _CACHED_BALL_ENTRIES:
         balls, dying, next_weight = _packing_tables(n, q, r)

@@ -54,6 +54,12 @@ class TestVerifyPacking:
                 verify_packing(code, lam, 1)
         assert verify_packing(code, 3, 1).is_lambda_fold
 
+    def test_radius_must_be_an_int(self):
+        for code in (constructions.mds_code(3, 3), Code(Space(4, 2), [])):
+            for r in (1.0, "1", None, True, -1, code.space.n + 1):
+                with pytest.raises(ValueError, match="radius must be an int"):
+                    verify_packing(code, 2, r)
+
     def test_whole_tiny_space(self):
         space = Space(2, 2)
         report = verify_packing(Code.from_bits(space, range(4)), 3, 1)

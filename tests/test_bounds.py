@@ -31,6 +31,12 @@ class TestSpherePacking:
     def test_big_integers(self):
         assert sphere_packing_bound(60, 2, 1, 1) == 2**60 // 61
 
+    def test_radius_must_be_an_int(self):
+        # the check that Space.ball_size uses, without its length limits
+        for r in (1.0, "1", None, True, -1, 61):
+            with pytest.raises(ValueError, match="radius must be an int in 0..60"):
+                sphere_packing_bound(60, 2, 1, r)
+
 
 class TestRegularGraphBound:
     def test_alpha_zero_degenerates(self):

@@ -3,7 +3,7 @@
 import io
 import json
 
-from hampack import analysis, constructions
+from hampack import analysis, constructions, search
 from hampack.cli import main
 from hampack.core import parse_code
 
@@ -177,6 +177,17 @@ class TestClassify:
         rc, out, _ = run(capsys, ["classify", "--n", "6", "--threads", "2", "--json"])
         assert rc == 0
         assert json.loads(out)["class_count"] == 2
+
+    def test_bad_checkpoint_exit_2(self, capsys, tmp_path):
+        # a stored solution that is not a unitrade is refused at load
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps({
+            "version": search._CHECKPOINT_VERSION, "filters": search.SearchConfig(n=8).filter_key(),
+            "unit_count": 9, "completed": {"0": [[0, 3, 5]]},
+        }))
+        rc, out, err = run(capsys, ["classify", "--n", "8", "--checkpoint", str(path)])
+        assert rc == 2 and out == ""
+        assert str(path) in err and "extended unitrade" in err
 
 
 class TestPartition:

@@ -161,6 +161,16 @@ class TestBall:
         with pytest.raises(ValueError):
             list(ball(bword("00"), 3))
 
+    def test_radius_must_be_an_int(self):
+        # one check for ball() and ball_size(); True would pass for 1
+        center = Word.from_string("012", 3)
+        for r in (1.0, "1", None, True, False, -1, 4):
+            with pytest.raises(ValueError, match="radius must be an int in 0..3"):
+                ball(center, r)
+            with pytest.raises(ValueError, match="radius must be an int in 0..3"):
+                center.space.ball_size(r)
+        assert Space(3, 3).ball_size(3) == 27
+
 
 class TestCoverage:
     def test_empty_code(self):

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import random
+import re
 import sys
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -22,6 +23,7 @@ from hampack.analysis import (
 from hampack.bounds import lp_bound, sphere_packing_bound
 from hampack.core import MAX_Q, Code, Space, Word, ball, weight
 from hampack.search import (
+    _CHECKPOINT_VERSION,
     _UNITS_PER_THREAD,
     EquivalenceClass,
     SearchConfig,
@@ -31,11 +33,13 @@ from hampack.search import (
     _canonical_search,
     _enumerate_with_seed,
     _max_packing_search,
+    _node,
     _packing_tables,
     _run_enumeration,
     _search,
     _search_unit,
     _seed_group,
+    _seeded_engine,
     are_equivalent,
     canonical_form,
     classify_extended_unitrades,
@@ -375,11 +379,16 @@ class TestClassifySmall:
         assert min_extended_unitrade_size(8) == 16
 
     def test_unit_rejection_work_counts(self):
-        # one plain search below the seed visits 718, 321 and 102 nodes
+        # one plain search below the seed visits 718, 321 and 102 nodes.  The
+        # split walks the search's own node, which never emits a child whose
+        # OUT prefix contradicts the state, and lists in the OUT prefix only
+        # the words it sets itself: the antipodal split, where setting a word
+        # OUT sets its complement OUT too, kept 15 such dead units before
+        # (26 units, 5 rejected, 18 searched in 18 nodes)
         for kw, counts in (
             ({}, {"units": 20, "rejected": 6, "searched": 9, "nodes": 141}),
             ({"max_cardinality": 16}, {"units": 20, "rejected": 6, "searched": 9, "nodes": 54}),
-            ({"antipodal_only": True}, {"units": 26, "rejected": 5, "searched": 18, "nodes": 18}),
+            ({"antipodal_only": True}, {"units": 24, "rejected": 6, "searched": 8, "nodes": 8}),
         ):
             assert _run_enumeration(SearchConfig(n=8, **kw))[1] == counts, kw
 
@@ -411,6 +420,7 @@ def check_engine_state(engine: _Engine) -> None:
         assert engine.in_count <= engine.max_cardinality
 
 
+MARK_FIELDS = ("status", "cin", "cund", "in_count", "touched", "fronts")
 ENGINE_KINDS = {"plain": {}, "antipodal": {"antipodal_only": True}, "capped": {"max_cardinality": 16}}
 
 
@@ -455,19 +465,65 @@ class TestEngine:
         # slow to search twice at n = 10)
         checked = 0
         for target in (1, 2, _UNITS_PER_THREAD) if n < 10 else (_UNITS_PER_THREAD,):
-            engine = _Engine(n, **kw)
-            assert all(engine.assign(idx, val) for idx, val in engine.seed_decisions())
+            engine = _seeded_engine(n, **kw)
             units = _expand_units(engine, target)[0]
             # the shared engine is left wherever the last unit ended
             for unit in reversed(units):
-                assert unit.decisions[len(unit.decisions) - len(unit.tail):] == unit.tail
                 fresh, out = _Engine(n, **kw), []
                 replay = [*fresh.seed_decisions(), *unit.decisions]
-                if all(fresh.assign(idx, val) for idx, val in replay):
-                    _search(fresh, out)
-                assert _search_unit(engine, unit.start, unit.tail) == (out, fresh.nodes)
+                assert all(fresh.assign(idx, val) for idx, val in replay)
+                for field, replayed, stored in zip(MARK_FIELDS, fresh.mark(), unit.start,
+                                                   strict=True):
+                    assert replayed == stored, (target, unit.decisions, field)
+                _search(fresh, out)
+                assert _search_unit(engine, unit.start) == (out, fresh.nodes)
                 checked += 1
         assert checked
+
+    def test_node_yields_the_decisions_that_reach_each_child(self):
+        # a DFS below each unit that keeps each child's decisions from the
+        # seed, as the split does.  No child below the seed has an OUT prefix
+        # at n <= 8; below the n = 10 antipodal units 52 do, and replaying
+        # one reaches the child's state
+        kw = {"antipodal_only": True}
+        engine = _seeded_engine(10, **kw)
+        checked = 0
+        for unit in _expand_units(engine, _UNITS_PER_THREAD)[0]:
+            engine.undo(unit.start)
+            # a node and the length of the decisions that reach it
+            stack, decisions = [(_node(engine, []), len(unit.decisions))], list(unit.decisions)
+            while stack:
+                node, depth = stack[-1]
+                child = next(node, None)
+                if child is None:
+                    stack.pop()
+                    continue
+                w, outs = child
+                del decisions[depth:]
+                decisions += [(u, _Engine.OUT) for u in outs] + [(w, _Engine.IN)]
+                if outs:
+                    fresh = _seeded_engine(10, **kw)
+                    assert all(fresh.assign(idx, val) for idx, val in decisions)
+                    assert fresh.mark() == engine.mark()
+                    checked += 1
+                stack.append((_node(engine, []), len(decisions)))
+        assert checked == 52
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_split_keeps_every_class(self, n, kind):
+        # oracle: the classes of one search below the seed, whatever the
+        # split target (1 keeps the seed itself as the one unit; 64 splits
+        # each of these trees to the leaves, leaving no unit)
+        kw = ENGINE_KINDS[kind]
+        form = lru_cache(maxsize=None)(lambda sol: _canonical_search(sol, n)[0])
+        expected = set(map(form, _enumerate_with_seed(n, **kw)[0]))
+        for target in (1, 2, 8, 32, 64):
+            engine = _seeded_engine(n, **kw)
+            units, found, _ = _expand_units(engine, target)
+            for unit in units:
+                found += _search_unit(engine, unit.start)[0]
+            assert set(map(form, found)) == expected, target
 
 
 class TestSeedGroup:
@@ -512,6 +568,24 @@ class TestClassificationOracle:
             assert got == expected, (n, nonbipartite, antipodal, cap)
 
 
+DIAGONAL_8 = list(con.diagonal_unitrade(8).keys)  # an extended unitrade
+BAD_COMPLETED = {
+    "list": [["0", []]],
+    "string-solutions": {"0": "abc"},
+    "string-solution": {"0": ["abc"]},
+    "not-a-unitrade": {"0": [[0, 3, 5]]},
+    "index-past-units": {"9": []},
+    "negative-index": {"-1": []},
+    "padded-index": {"00": []},
+    "empty-solution": {"0": [[]]},
+    "float-key": {"0": [[0, 3.0, 5]]},
+    "bool-key": {"0": [[False, 3, 5]]},
+    "decreasing": {"3": [DIAGONAL_8[::-1]]},
+    "odd-weight": {"3": [[k ^ 1 for k in DIAGONAL_8]]},
+    "key-past-2^n": {"3": [DIAGONAL_8[:-1] + [DIAGONAL_8[-1] | 3 << 8]]},
+}
+
+
 class TestThreadsAndCheckpoints:
     def test_thread_count_does_not_change_output(self):
         one = classify_extended_unitrades(SearchConfig(n=6))
@@ -553,7 +627,7 @@ class TestThreadsAndCheckpoints:
         cfg = SearchConfig(n=8, threads=4, checkpoint_path=str(path))
         units = serial[1]["searched"]
         path.write_text(json.dumps({
-            "version": 2, "filters": cfg.filter_key(), "unit_count": units,
+            "version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(), "unit_count": units,
             "completed": {str(i): [] for i in range(2, units)},
         }))
         sizes.clear()
@@ -600,18 +674,40 @@ class TestThreadsAndCheckpoints:
         cfg = SearchConfig(n=8, checkpoint_path=str(path))
         classify_extended_unitrades(cfg)
         state = json.loads(path.read_text())
-        # the same filters and unit count, written without a format version,
-        # and a state of the driver that split units without the seed group
+        # the same filters and unit count, written by the split with its own
+        # branching rule (version 2) or without a format version, and a state
+        # of the driver that split units without the seed group
+        v2 = dict(state, version=2)
         del state["version"]
         old = {"filters": cfg.filter_key(), "unit_count": 256, "closed": [], "completed": {}}
-        for bad in (state, old, []):
+        for bad in (v2, state, old, []):
             path.write_text(json.dumps(bad))
             with pytest.raises(ValueError, match="format version"):
                 classify_extended_unitrades(cfg)
 
+    @pytest.mark.parametrize("case", BAD_COMPLETED)
+    def test_checkpoint_entries_are_checked_at_load(self, tmp_path, case):
+        # the n = 8 run splits into 9 units; each entry breaks one rule
+        path = tmp_path / "entries.ckpt"
+        cfg = SearchConfig(n=8, checkpoint_path=str(path))
+        path.write_text(json.dumps({"version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(),
+                                    "unit_count": 9, "completed": BAD_COMPLETED[case]}))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            classify_extended_unitrades(cfg)
+
+    def test_checkpoint_entry_of_a_unitrade_is_accepted(self, tmp_path):
+        # the control for the cases above: the diagonal, stored as is
+        path = tmp_path / "diagonal.ckpt"
+        cfg = SearchConfig(n=8, checkpoint_path=str(path))
+        path.write_text(json.dumps({"version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(),
+                                    "unit_count": 9, "completed": {"3": [DIAGONAL_8]}}))
+        reps = [c.representative for c in classify_extended_unitrades(cfg)]
+        assert canonical_form(con.diagonal_unitrade(8)) in reps
+
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "other.ckpt"
-        state = {"version": 2, "filters": {"n": 8}, "unit_count": 1, "completed": {}}
+        state = {"version": _CHECKPOINT_VERSION, "filters": {"n": 8}, "unit_count": 1,
+                 "completed": {}}
         path.write_text(json.dumps(state))
         with pytest.raises(ValueError):
             classify_extended_unitrades(SearchConfig(n=6, checkpoint_path=str(path)))
@@ -642,6 +738,19 @@ class TestMinUnitradeSize:
         for n in (4, 6, 8):
             classes = classify_extended_unitrades(SearchConfig(n=n))
             assert min_extended_unitrade_size(n) == min(c.cardinality for c in classes)
+
+    def test_one_capped_run(self, monkeypatch):
+        # the diagonal fits the cap, so a run that finds nothing is a fault
+        caps = []
+
+        def capped_run(cfg):
+            caps.append(cfg.max_cardinality)
+            return [], {}
+
+        monkeypatch.setattr(search, "_run_enumeration", capped_run)
+        with pytest.raises(AssertionError, match="diagonal"):
+            min_extended_unitrade_size(8)
+        assert caps == [16]
 
 
 def brute_force_max_packing(n: int, q: int, lam: int, r: int) -> int:
@@ -885,6 +994,24 @@ class TestLongJobs:
             SearchConfig(n=10, antipodal_only=True, nonbipartite_only=True)
         )
         assert [c.cardinality for c in classes] == [80]
+
+    def test_split_and_resume_agree_at_n10(self, tmp_path):
+        # threads 1 and 2 split the tree differently (8 and 17 units); the
+        # resume searches every other unit of the two-thread split again
+        sizes = [32, 48, 56, 64, 64, 64, 64, 64, 72, 80, 80]
+        serial = classify_extended_unitrades(SearchConfig(n=10, antipodal_only=True))
+        assert [c.cardinality for c in serial] == sizes
+        path = tmp_path / "n10.ckpt"
+        cfg = SearchConfig(n=10, antipodal_only=True, threads=2, checkpoint_path=str(path))
+        assert classify_extended_unitrades(cfg) == serial
+        state = json.loads(path.read_text())
+        done = sorted(state["completed"], key=int)
+        assert len(done) == 17
+        for i in done[::2]:
+            del state["completed"][i]
+        path.write_text(json.dumps(state))
+        assert classify_extended_unitrades(cfg) == serial
+        assert sorted(json.loads(path.read_text())["completed"], key=int) == done
 
     def test_n10_full_classification(self):
         # 30 primary (connected) classes, and two 80-word disjoint unions
