@@ -31,7 +31,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .core import (
-    Code, Space, Word, _ball_keys, _check_radius, _check_same_space, _code, _word, hamming_distance,
+    Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code, _word,
+    hamming_distance,
 )
 
 # ---------------------------------------------------------------------------
@@ -81,8 +82,7 @@ def verify_packing(code: Code, lam: int, r: int) -> PackingReport:
     hold at least half the space (2·|C|·|B_r| >= q^n), is counted by the
     full-space scan instead; both kernels give the same counts.
     """
-    if type(lam) is not int or lam < 1:
-        raise ValueError("lambda must be a positive int")
+    _check_lambda(lam)
     space = code.space
     _check_radius(space.n, r)
     dups = tuple(code.duplicate_words())

@@ -29,15 +29,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .core import _check_radius
+from .core import _check_lambda, _check_radius
 
 
 def _validate_params(n: int, q: int) -> None:
     # bounds are pure arithmetic: no digit-string or bit-packing limits apply
-    if n < 1:
-        raise ValueError(f"word length must be positive, got n={n}")
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got q={q}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"word length must be a positive int, got n={n!r}")
+    if type(q) is not int or q < 2:
+        raise ValueError(f"alphabet size must be an int of at least 2, got q={q!r}")
 
 
 def _ball_size(n: int, q: int, r: int) -> int:
@@ -61,8 +61,7 @@ class BoundResult:
 
 def sphere_packing_bound(n: int, q: int, lam: int, r: int) -> int:
     """floor(lambda q^n / |B_r|)."""
-    if lam < 1:
-        raise ValueError("lambda must be a positive integer")
+    _check_lambda(lam)
     _validate_params(n, q)
     return lam * q**n // _ball_size(n, q, r)
 
@@ -81,8 +80,7 @@ class SpectrumBoundInput:
             raise ValueError("alpha must be nonnegative")
         if self.alpha >= self.degree:
             raise ValueError("alpha must be smaller than the degree")
-        if self.lam < 1:
-            raise ValueError("lambda must be a positive integer")
+        _check_lambda(self.lam)
 
     @property
     def vacuous(self) -> bool:
@@ -141,10 +139,9 @@ def mds_interval(n: int, q: int) -> tuple[int, Fraction]:
 
 def lp_bound(n: int, lam: int) -> BoundResult:
     """LP bound on binary lambda-fold 1-packings of length n (n >= 2)."""
-    if n < 2:
-        raise ValueError("the LP bound needs n >= 2")
-    if lam < 1:
-        raise ValueError("lambda must be a positive integer")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"the LP bound needs an int n >= 2, got n={n!r}")
+    _check_lambda(lam)
     sigma = lam % 2
     two_n = 1 << n
     mod = n % 4
@@ -165,10 +162,9 @@ def lp_bound(n: int, lam: int) -> BoundResult:
 
 def lp_bound_even(n: int, lam: int) -> BoundResult:
     """LP bound on even-weight binary lambda-fold 1-packings (n >= 3)."""
-    if n < 3:
-        raise ValueError("the even-weight LP bound needs n >= 3")
-    if lam < 1:
-        raise ValueError("lambda must be a positive integer")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"the even-weight LP bound needs an int n >= 3, got n={n!r}")
+    _check_lambda(lam)
     sigma = lam % 2
     half = 1 << (n - 1)
     mod = n % 4

@@ -393,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--antipodal", action="store_true")
     p.add_argument("--max-cardinality", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", default=None,
+                   help="journal of finished units; a rerun with the same options resumes from it")
     p.add_argument("--out", default=None, help="directory for class files and manifest")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)

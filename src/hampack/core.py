@@ -228,6 +228,12 @@ def _check_radius(n: int, r: int) -> None:
         raise ValueError(f"radius must be an int in 0..{n}, got {r!r}")
 
 
+def _check_lambda(lam: int) -> None:
+    """The one check of a multiplicity lambda: an int >= 1 (a bool is refused)."""
+    if type(lam) is not int or lam < 1:
+        raise ValueError(f"lambda must be a positive int, got {lam!r}")
+
+
 def ball(center: Word, r: int) -> Iterator[Word]:
     """All words at distance <= r from the center, each exactly once."""
     space = center.space

@@ -67,18 +67,18 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, permutations
 from math import comb
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import IO, Iterator, NamedTuple, Optional, Sequence
 
 from .analysis import _bipartition, _distance_counts, _reducibility, is_antipodal, is_extended_unitrade
 from .bounds import lp_bound, sphere_packing_bound
-from .core import Code, Space, _code
+from .core import Code, Space, _check_lambda, _code
 
 _MIN_N, _MAX_N = 4, 12
 
@@ -671,7 +671,7 @@ class _OrbitSieve:
 # Kept units to split the tree into, per worker: splitting deeper rejects
 # more isomorphic subtrees but costs sieve tests on every generated unit.
 _UNITS_PER_THREAD = 8
-_CHECKPOINT_VERSION = 3  # 1: no seed group; 2: units split by their own rule
+_CHECKPOINT_VERSION = 4  # 1: no seed group; 2: units split by their own rule; 3: one whole state
 
 
 class _Unit(NamedTuple):
@@ -721,9 +721,10 @@ def _expand_units(
 
 
 def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str, int]]:
-    """The unitrades found below the kept units and while splitting, which
-    hold a member of every class, and the work counts: units generated,
-    rejected and searched, and the search nodes of the units in this call.
+    """The unitrades found while splitting and below the kept units, in unit
+    order, which hold a member of every class, and the work counts: units
+    generated, rejected and searched, and the search nodes of the units in
+    this call.
 
     ``cfg.threads`` sets how finely the tree is split; the units are
     searched by at most that many worker processes, and by no more than
@@ -735,67 +736,74 @@ def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str
     units, solutions, split_counts = _expand_units(engine, _UNITS_PER_THREAD * cfg.threads)
     counts.update(split_counts)
 
-    state = _load_checkpoint(cfg, len(units)) if cfg.checkpoint_path else None
-    if state is None:
-        state = {
-            "version": _CHECKPOINT_VERSION,
-            "filters": cfg.filter_key(),
-            "unit_count": len(units),
-            "completed": {},
-        }
-    for sols in state["completed"].values():
-        solutions.extend(tuple(s) for s in sols)
-    todo = [i for i in range(len(units)) if str(i) not in state["completed"]]
-
-    starts = [units[i].start for i in todo]
+    found, journal = _open_journal(cfg, len(units)) if cfg.checkpoint_path else ({}, None)
+    todo = [i for i in range(len(units)) if i not in found]
     workers = min(cfg.threads, os.cpu_count() or 1, len(todo))
-    with ProcessPoolExecutor(
+    with journal or nullcontext(), ProcessPoolExecutor(
         max_workers=workers, initializer=_start_worker,
         initargs=(cfg.n, cfg.antipodal_only, cfg.max_cardinality),
     ) if workers > 1 else nullcontext() as pool:
         if pool:
-            results = pool.map(_search_unit_in_worker, starts)
+            futures = {pool.submit(_search_unit_in_worker, units[i].start): i for i in todo}
+            results = ((futures[f], f.result()) for f in as_completed(futures))
         else:
-            results = map(partial(_search_unit, engine), starts)
-        for i, (sols, nodes) in zip(todo, results):
-            solutions.extend(sols)
+            results = ((i, _search_unit(engine, units[i].start)) for i in todo)
+        for i, (sols, nodes) in results:  # as the units finish
+            found[i] = sols
             counts["nodes"] += nodes
-            state["completed"][str(i)] = [list(s) for s in sols]
-            _save_checkpoint(cfg, state)
-    _save_checkpoint(cfg, state)
-    return solutions, counts
+            if journal:
+                journal.write(json.dumps([i, sols]) + "\n")
+                journal.flush()
+    return solutions + [s for i in range(len(units)) for s in found[i]], counts
 
 
-def _load_checkpoint(cfg: SearchConfig, unit_count: int) -> Optional[dict]:
+def _open_journal(cfg: SearchConfig, unit_count: int) -> tuple[dict[int, list], IO[str]]:
+    """The solutions of the units that the checkpoint journal lists, and the
+    journal opened for appending; a missing journal is started.
+
+    The journal is a header line (format version, filters, unit count),
+    then one ``[unit, solutions]`` line per unit as it finishes.  A last
+    line without its newline was torn by a crash: it is cut off, and its
+    unit is searched again.  A file that fails any other check raises
+    ``ValueError`` and is left as it was.
+    """
     path = Path(cfg.checkpoint_path)
+    header = {"version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(), "unit_count": unit_count}
     if not path.exists():
-        return None
+        path.write_text(json.dumps(header) + "\n", encoding="ascii")
+    data = path.read_bytes()
+    head, newline, body = data.partition(b"\n")
     try:
-        state = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt checkpoint {path}: {exc}") from None
-    if not isinstance(state, dict) or state.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint {path} is not in format version {_CHECKPOINT_VERSION}; "
-            "its units were split by another version of the search"
-        )
-    if state.get("filters") != cfg.filter_key() or state.get("unit_count") != unit_count:
-        raise ValueError(
-            f"checkpoint {path} was written for other filters or another thread count"
-        )
-    completed = state.get("completed")
-    if not isinstance(completed, dict) or not set(completed) <= {str(i) for i in range(unit_count)}:
-        raise ValueError(
-            f"checkpoint {path}: 'completed' must map unit indices below {unit_count} to solutions"
-        )
-    space = Space(cfg.n, 2)
-    for unit, sols in completed.items():
-        if not isinstance(sols, list) or not all(_is_stored_unitrade(space, s) for s in sols):
-            raise ValueError(
-                f"checkpoint {path}: unit {unit} holds a solution that is not a list of "
-                f"increasing even-weight keys forming an extended unitrade of length {cfg.n}"
-            )
-    return state
+        stored = json.loads(head)
+    except ValueError as exc:
+        raise ValueError(f"corrupt checkpoint {path}: the header line is not JSON ({exc})") from None
+    if not isinstance(stored, dict) or stored.get("version") != _CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint {path} is not in format version {_CHECKPOINT_VERSION}; "
+                         "its units were split by another version of the search")
+    if not newline:
+        raise ValueError(f"corrupt checkpoint {path}: the header line is torn")
+    if stored != header:
+        raise ValueError(f"checkpoint {path} was written for other filters or another thread count")
+    *lines, torn = body.split(b"\n")
+    space, found = Space(cfg.n, 2), {}
+    for number, line in enumerate(lines, 2):
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            entry = None
+        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int
+                and 0 <= entry[0] < unit_count and entry[0] not in found
+                and isinstance(entry[1], list)):
+            raise ValueError(f"checkpoint {path}: line {number} is not a [unit, solutions] "
+                             f"entry of a unit below {unit_count} listed once")
+        unit, sols = entry
+        if not all(_is_stored_unitrade(space, s) for s in sols):
+            raise ValueError(f"checkpoint {path}: unit {unit} holds a solution that is not a list "
+                             f"of increasing even-weight keys forming an extended unitrade")
+        found[unit] = [tuple(s) for s in sols]
+    journal = path.open("a", encoding="ascii")
+    journal.truncate(len(data) - len(torn))
+    return found, journal
 
 
 def _is_stored_unitrade(space: Space, sol: object) -> bool:
@@ -807,15 +815,6 @@ def _is_stored_unitrade(space: Space, sol: object) -> bool:
         and all(a < b for a, b in zip(sol, sol[1:]))
         and is_extended_unitrade(_code(space, sol)).ok
     )
-
-
-def _save_checkpoint(cfg: SearchConfig, state: dict) -> None:
-    if cfg.checkpoint_path is None:
-        return
-    path = Path(cfg.checkpoint_path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(state))
-    tmp.replace(path)
 
 
 def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
@@ -956,8 +955,7 @@ def _packing_tables(
 
 def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:
     """Maximum packing size, and the number of codeword placements tried."""
-    if type(lam) is not int or lam < 1:
-        raise ValueError("lambda must be a positive int")
+    _check_lambda(lam)
     space = Space(n, q)
     size = space.size
     if size > 4096:

@@ -3,7 +3,7 @@
 They read a code's space and keys, and share no code with ``hampack``.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def halved_cube_reading(t_set) -> bool:
@@ -27,3 +27,19 @@ def halved_cube_reading(t_set) -> bool:
         if any((a ^ b).bit_count() == 2 for a, b in combinations(nbrs, 2)):
             return False
     return True
+
+
+def radius1_coverage(t_set) -> dict:
+    """How many codewords, repeats counted, lie within distance 1 of each
+    vertex of the space; every vertex is listed, as a tuple of symbols,
+    covered or not.  Balls are walked one changed symbol at a time."""
+    n, q = t_set.space.n, t_set.space.q
+    counts = dict.fromkeys(product(range(q), repeat=n), 0)
+    for key in t_set.keys:
+        word = tuple(key >> (n - 1 - i) & 1 for i in range(n)) if q == 2 else tuple(key)
+        counts[word] += 1
+        for i in range(n):
+            for s in range(q):
+                if s != word[i]:
+                    counts[word[:i] + (s,) + word[i + 1:]] += 1
+    return counts

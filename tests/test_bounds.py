@@ -38,6 +38,39 @@ class TestSpherePacking:
                 sphere_packing_bound(60, 2, 1, r)
 
 
+BAD_LAMBDAS = (2.5, 2.0, True, False, "2", None, Fraction(2), 0, -1)
+
+
+class TestIntegerParameters:
+    # one check of lambda (core._check_lambda) for every bound, and int
+    # word lengths and alphabet sizes; non-int values used to give float
+    # values, bool-as-int values, TypeError or AttributeError
+    @pytest.mark.parametrize("lam", BAD_LAMBDAS)
+    def test_lambda_must_be_a_positive_int(self, lam):
+        for bound, args in ((sphere_packing_bound, (9, 2, lam, 1)), (lp_bound, (9, lam)),
+                            (lp_bound_even, (9, lam)), (hamming_eigenvalue_bound, (3, 7, lam)),
+                            (SpectrumBoundInput, (4, Fraction(1), lam, 16))):
+            with pytest.raises(ValueError, match="lambda must be a positive int"):
+                bound(*args)
+
+    @pytest.mark.parametrize("bad", [9.0, 2.5, True, "9", None])
+    def test_length_and_alphabet_must_be_ints(self, bad):
+        for bound, args in ((sphere_packing_bound, (bad, 2, 2, 1)),
+                            (sphere_packing_bound, (9, bad, 2, 1)),
+                            (mds_interval, (bad, 7)), (mds_interval, (3, bad)),
+                            (hamming_eigenvalue_bound, (bad, 7, 3)),
+                            (hamming_eigenvalue_bound, (3, bad, 3)),
+                            (lp_bound, (bad, 2)), (lp_bound_even, (bad, 2))):
+            with pytest.raises(ValueError):
+                bound(*args)
+
+    def test_int_values_unchanged(self):
+        value = sphere_packing_bound(9, 2, 2, 1)
+        assert value == 102 and type(value) is int
+        assert mds_interval(3, 7) == (49, Fraction(3 * 343, 19))
+        assert hamming_eigenvalue_bound(3, 7, 3).value == 49
+
+
 class TestRegularGraphBound:
     def test_alpha_zero_degenerates(self):
         inp = SpectrumBoundInput(10, Fraction(0), 3, 100)

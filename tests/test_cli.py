@@ -181,13 +181,14 @@ class TestClassify:
     def test_bad_checkpoint_exit_2(self, capsys, tmp_path):
         # a stored solution that is not a unitrade is refused at load
         path = tmp_path / "bad.ckpt"
-        path.write_text(json.dumps({
-            "version": search._CHECKPOINT_VERSION, "filters": search.SearchConfig(n=8).filter_key(),
-            "unit_count": 9, "completed": {"0": [[0, 3, 5]]},
-        }))
+        header = {"version": search._CHECKPOINT_VERSION,
+                  "filters": search.SearchConfig(n=8).filter_key(), "unit_count": 9}
+        data = json.dumps(header) + "\n" + json.dumps([0, [[0, 3, 5]]]) + "\n"
+        path.write_text(data)
         rc, out, err = run(capsys, ["classify", "--n", "8", "--checkpoint", str(path)])
         assert rc == 2 and out == ""
         assert str(path) in err and "extended unitrade" in err
+        assert path.read_text() == data
 
 
 class TestPartition:

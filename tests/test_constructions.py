@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hampack import analysis
 from hampack import constructions as con
 from hampack.analysis import (
     is_bipartite_unitrade,
@@ -13,6 +14,7 @@ from hampack.analysis import (
 )
 from hampack.core import Code, Space, Word, hamming_distance, weight
 from hampack.linalg import gf2_rank
+from oracles import radius1_coverage
 
 
 def bword(s: str) -> Word:
@@ -106,6 +108,35 @@ class TestHammingCode:
     def test_lambda_range(self):
         with pytest.raises(ValueError):
             con.hamming_coset_union(3, 10)
+        for lam in (0, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="lambda must be a positive int"):
+                con.hamming_coset_union(3, lam)
+
+    @pytest.mark.parametrize("q,lams", [(2, range(1, 5)), (3, range(1, 10)), (5, (1, 2, 13, 25))])
+    def test_coset_union_covers_every_vertex_lambda_times(self, q, lams):
+        for lam in lams:
+            union = con.hamming_coset_union(q, lam)
+            assert len(union) == lam * q ** (q - 1)
+            counts = radius1_coverage(union)
+            assert len(counts) == q ** (q + 1) and set(counts.values()) == {lam}, (q, lam)
+
+    def test_repeated_cosets_collapse_to_fewer_folds(self):
+        # two representatives of one coset: a union of 2 cosets, a 2-fold
+        # packing, which is also a 3-fold one
+        reps = [Word.from_symbols(s, 3) for s in ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1))]
+        assert reps[1] + con.hamming_code_q(3).words[1] == reps[2]
+        with pytest.warns(UserWarning, match="duplicates collapsed"):
+            union = con.hamming_coset_union(3, 3, reps)
+        assert len(union) == 18 and set(radius1_coverage(union).values()) == {2}
+
+    def test_construction_does_not_check_its_own_output(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the coset union re-verified its own output")
+
+        for name in ("verify_packing", "_coverage_counts_union", "_coverage_counts_full"):
+            monkeypatch.setattr(analysis, name, refuse)
+        assert len(con.hamming_coset_union(3, 4)) == 36
+        assert len(con.hamming_coset_union(5, 2)) == 1250
 
 
 class TestDiagonal:

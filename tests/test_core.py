@@ -8,6 +8,7 @@ from hampack.core import (
     Code,
     Space,
     Word,
+    _check_lambda,
     antipode,
     ball,
     coverage_multiplicity,
@@ -273,6 +274,13 @@ def random_multiset(rng: random.Random, space: Space, size: int) -> Code:
 
 
 class TestBoundaryChecks:
+    def test_lambda_check(self):
+        for lam in (1, 2, 10**30):
+            _check_lambda(lam)
+        for lam in (0, -1, 2.0, 2.5, True, False, "2", None):
+            with pytest.raises(ValueError, match=f"lambda must be a positive int, got {lam!r}"):
+                _check_lambda(lam)
+
     @pytest.mark.parametrize("bad", ["٠١١", "０１１", "0_1", "+01", "0 1", "01²", "-01"])
     def test_only_ascii_digits_are_symbols(self, bad):
         with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ import json
 import random
 import re
 import sys
+from concurrent.futures import Future
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -569,21 +571,70 @@ class TestClassificationOracle:
 
 
 DIAGONAL_8 = list(con.diagonal_unitrade(8).keys)  # an extended unitrade
-BAD_COMPLETED = {
-    "list": [["0", []]],
-    "string-solutions": {"0": "abc"},
-    "string-solution": {"0": ["abc"]},
-    "not-a-unitrade": {"0": [[0, 3, 5]]},
-    "index-past-units": {"9": []},
-    "negative-index": {"-1": []},
-    "padded-index": {"00": []},
-    "empty-solution": {"0": [[]]},
-    "float-key": {"0": [[0, 3.0, 5]]},
-    "bool-key": {"0": [[False, 3, 5]]},
-    "decreasing": {"3": [DIAGONAL_8[::-1]]},
-    "odd-weight": {"3": [[k ^ 1 for k in DIAGONAL_8]]},
-    "key-past-2^n": {"3": [DIAGONAL_8[:-1] + [DIAGONAL_8[-1] | 3 << 8]]},
+# journal lines that break one rule each, for the n = 8 split into 9 units
+BAD_LINES = {
+    "list": '[["0", []]]',
+    "string-solutions": '[0, "abc"]',
+    "string-solution": '[0, ["abc"]]',
+    "not-a-unitrade": '[0, [[0, 3, 5]]]',
+    "index-past-units": '[9, []]',
+    "negative-index": '[-1, []]',
+    "padded-index": '[00, []]',
+    "empty-solution": '[0, [[]]]',
+    "float-key": '[0, [[0, 3.0, 5]]]',
+    "bool-key": '[0, [[false, 3, 5]]]',
+    "decreasing": json.dumps([3, [DIAGONAL_8[::-1]]]),
+    "odd-weight": json.dumps([3, [[k ^ 1 for k in DIAGONAL_8]]]),
+    "key-past-2^n": json.dumps([3, [DIAGONAL_8[:-1] + [DIAGONAL_8[-1] | 3 << 8]]]),
+    "string-index": '["0", []]',
+    "bool-index": '[true, []]',
+    "float-index": '[1.0, []]',
+    "object": '{"0": []}',
+    "bare-index": '[0]',
+    "three-items": '[0, [], []]',
+    "null": 'null',
+    "unclosed": '[0, [',
+    "blank": '',
+    "repeated-unit": '[0, []]\n[0, []]',
 }
+
+
+def journal_header(cfg: SearchConfig, unit_count: int) -> bytes:
+    return json.dumps({"version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(),
+                       "unit_count": unit_count}).encode() + b"\n"
+
+
+def journal_units(path) -> list[int]:
+    """The units that a journal lists, in file order."""
+    return [json.loads(line)[0] for line in path.read_bytes().splitlines()[1:]]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Worker pools replaced by a stand-in that records its size and runs
+    each submitted unit at once, in this process; ``os.cpu_count()``
+    returns ``pool.cpus``."""
+    pool = SimpleNamespace(sizes=[], cpus=64)
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pool.sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: pool.cpus)
+    return pool
 
 
 class TestThreadsAndCheckpoints:
@@ -593,48 +644,65 @@ class TestThreadsAndCheckpoints:
         assert [c.representative for c in one] == [c.representative for c in two]
         assert [c.flags for c in one] == [c.flags for c in two]
 
-    def test_worker_pool_is_bounded_by_cpus_and_units(self, monkeypatch, tmp_path):
-        # a stand-in pool that records its size and maps in this process
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
-        cpus = {"count": 64}
-        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus["count"])
+    def test_worker_pool_is_bounded_by_cpus_and_units(self, serial_pool, tmp_path):
+        serial_pool.cpus = 1
         serial = _run_enumeration(SearchConfig(n=8, threads=4))
         for count, size in ((64, 4), (3, 3), (1, None), (None, None)):
-            cpus["count"] = count
-            sizes.clear()
+            serial_pool.cpus = count
+            serial_pool.sizes.clear()
             # the split follows the thread count, so the results do not move
             assert _run_enumeration(SearchConfig(n=8, threads=4)) == serial, count
-            assert sizes == ([size] if size else []), count
-        # a checkpoint that leaves two units to search
-        cpus["count"] = 64
+            assert serial_pool.sizes == ([size] if size else []), count
+        # a journal that leaves two units to search
+        serial_pool.cpus = 64
         path = tmp_path / "pool.ckpt"
         cfg = SearchConfig(n=8, threads=4, checkpoint_path=str(path))
         units = serial[1]["searched"]
-        path.write_text(json.dumps({
-            "version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(), "unit_count": units,
-            "completed": {str(i): [] for i in range(2, units)},
-        }))
-        sizes.clear()
+        path.write_bytes(journal_header(cfg, units) + b"".join(
+            json.dumps([i, []]).encode() + b"\n" for i in range(2, units)))
+        serial_pool.sizes.clear()
         _run_enumeration(cfg)
-        assert sizes == [2]
-        assert sorted(json.loads(path.read_text())["completed"], key=int) == [
-            str(i) for i in range(units)]
+        assert serial_pool.sizes == [2]
+        assert sorted(journal_units(path)) == list(range(units))
+
+    def test_units_are_journaled_as_they_finish(self, serial_pool, monkeypatch, tmp_path):
+        # units that finish in reverse order are journaled in that order,
+        # and their solutions still come back in unit order
+        serial_pool.cpus = 1
+        serial = _run_enumeration(SearchConfig(n=8, threads=4))
+        serial_pool.cpus = 64
+        monkeypatch.setattr(search, "as_completed", lambda futures: reversed(list(futures)))
+        path = tmp_path / "order.ckpt"
+        assert _run_enumeration(SearchConfig(n=8, threads=4, checkpoint_path=str(path))) == serial
+        assert serial_pool.sizes == [4]
+        assert journal_units(path) == list(range(32))[::-1]
+
+    @pytest.mark.parametrize("threads,units", [(1, 9), (4, 32)])
+    def test_resume_from_every_prefix_and_torn_line(self, serial_pool, tmp_path, threads, units):
+        plain = _run_enumeration(SearchConfig(n=8, threads=threads))
+        path = tmp_path / "prefix.ckpt"
+        cfg = SearchConfig(n=8, threads=threads, checkpoint_path=str(path))
+        assert _run_enumeration(cfg) == plain
+        # the header, then one line per unit: each unit's solutions are written once
+        header, *entries = path.read_bytes().splitlines(keepends=True)
+        assert header == journal_header(cfg, units) and len(entries) == units
+        assert sorted(journal_units(path)) == list(range(units))
+        for kept in range(units + 1):
+            prefix = header + b"".join(entries[:kept])
+            # a crash can tear the line being written: it is cut off and searched again
+            tails = [b""] + ([entries[kept][:len(entries[kept]) // 2]] if kept < units else [])
+            for tail in tails:
+                path.write_bytes(prefix + tail)
+                solutions, counts = _run_enumeration(cfg)
+                assert solutions == plain[0], (kept, tail)
+                assert dict(counts, nodes=0) == dict(plain[1], nodes=0)
+                assert (counts["nodes"] == 0) == (kept == units)
+                assert path.read_bytes().startswith(prefix)
+                assert sorted(journal_units(path)) == list(range(units))
+        # and the classes, from a torn journal
+        path.write_bytes(header + entries[0] + entries[1][:5])
+        assert classify_extended_unitrades(cfg) == classify_extended_unitrades(
+            SearchConfig(n=8, threads=threads))
 
     def test_checkpoint_resume(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -645,10 +713,18 @@ class TestThreadsAndCheckpoints:
         assert [c.representative for c in first] == [c.representative for c in again]
 
     def test_checkpoint_corruption_rejected(self, tmp_path):
+        # an empty file, a torn header and a file that is not JSON are
+        # refused, and left as they were
         path = tmp_path / "bad.ckpt"
-        path.write_text("{ not json")
-        with pytest.raises(ValueError):
-            classify_extended_unitrades(SearchConfig(n=6, checkpoint_path=str(path)))
+        cfg = SearchConfig(n=8, checkpoint_path=str(path))
+        header = journal_header(cfg, 9)
+        for data, reason in ((b"", "not JSON"), (header[:20], "not JSON"),
+                             (header[:-1], "header line is torn"), (b"{ not json\n", "not JSON"),
+                             (b"\x80\xff\n", "not JSON")):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+                classify_extended_unitrades(cfg)
+            assert path.read_bytes() == data
 
     def test_n8_threads_and_checkpoints_match_serial(self, tmp_path):
         serial = classify_extended_unitrades(SearchConfig(n=8))
@@ -657,14 +733,11 @@ class TestThreadsAndCheckpoints:
         cfg = SearchConfig(n=8, checkpoint_path=str(path))
         assert classify_extended_unitrades(cfg) == serial
         # resume with every other unit still to search
-        state = json.loads(path.read_text())
-        done = sorted(state["completed"], key=int)
-        assert len(done) == 9
-        for i in done[::2]:
-            del state["completed"][i]
-        path.write_text(json.dumps(state))
+        header, *entries = path.read_bytes().splitlines(keepends=True)
+        assert len(entries) == 9
+        path.write_bytes(header + b"".join(entries[1::2]))
         assert classify_extended_unitrades(cfg) == serial
-        assert sorted(json.loads(path.read_text())["completed"], key=int) == done
+        assert sorted(journal_units(path)) == list(range(9))
         # the thread count sets the split, so a checkpoint resumes only with its own
         with pytest.raises(ValueError, match="thread count"):
             classify_extended_unitrades(SearchConfig(n=8, threads=2, checkpoint_path=str(path)))
@@ -672,45 +745,51 @@ class TestThreadsAndCheckpoints:
     def test_checkpoint_of_other_format_rejected(self, tmp_path):
         path = tmp_path / "old.ckpt"
         cfg = SearchConfig(n=8, checkpoint_path=str(path))
-        classify_extended_unitrades(cfg)
-        state = json.loads(path.read_text())
-        # the same filters and unit count, written by the split with its own
-        # branching rule (version 2) or without a format version, and a state
-        # of the driver that split units without the seed group
-        v2 = dict(state, version=2)
-        del state["version"]
+        # a whole-state file of format version 3 with the same filters and
+        # unit count, the same as version 2 (units split by their own rule)
+        # and without a format version, a state written when units were
+        # split without the seed group, and a version-3 header line
+        v3 = {"version": 3, "filters": cfg.filter_key(), "unit_count": 9,
+              "completed": {"3": [DIAGONAL_8]}}
+        unversioned = {k: v for k, v in v3.items() if k != "version"}
         old = {"filters": cfg.filter_key(), "unit_count": 256, "closed": [], "completed": {}}
-        for bad in (v2, state, old, []):
+        for bad in (v3, dict(v3, version=2), unversioned, old, []):
             path.write_text(json.dumps(bad))
             with pytest.raises(ValueError, match="format version"):
                 classify_extended_unitrades(cfg)
+            assert path.read_text() == json.dumps(bad)
+        data = journal_header(cfg, 9).replace(b'"version": 4', b'"version": 3') + b"[0, []]\n"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="format version"):
+            classify_extended_unitrades(cfg)
+        assert path.read_bytes() == data
 
-    @pytest.mark.parametrize("case", BAD_COMPLETED)
+    @pytest.mark.parametrize("case", BAD_LINES)
     def test_checkpoint_entries_are_checked_at_load(self, tmp_path, case):
-        # the n = 8 run splits into 9 units; each entry breaks one rule
+        # a good entry, then one that breaks a rule; the file is left as it was
         path = tmp_path / "entries.ckpt"
         cfg = SearchConfig(n=8, checkpoint_path=str(path))
-        path.write_text(json.dumps({"version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(),
-                                    "unit_count": 9, "completed": BAD_COMPLETED[case]}))
+        data = journal_header(cfg, 9) + b"[5, []]\n" + BAD_LINES[case].encode() + b"\n"
+        path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             classify_extended_unitrades(cfg)
+        assert path.read_bytes() == data
 
     def test_checkpoint_entry_of_a_unitrade_is_accepted(self, tmp_path):
         # the control for the cases above: the diagonal, stored as is
         path = tmp_path / "diagonal.ckpt"
         cfg = SearchConfig(n=8, checkpoint_path=str(path))
-        path.write_text(json.dumps({"version": _CHECKPOINT_VERSION, "filters": cfg.filter_key(),
-                                    "unit_count": 9, "completed": {"3": [DIAGONAL_8]}}))
+        path.write_bytes(journal_header(cfg, 9) + json.dumps([3, [DIAGONAL_8]]).encode() + b"\n")
         reps = [c.representative for c in classify_extended_unitrades(cfg)]
         assert canonical_form(con.diagonal_unitrade(8)) in reps
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         path = tmp_path / "other.ckpt"
-        state = {"version": _CHECKPOINT_VERSION, "filters": {"n": 8}, "unit_count": 1,
-                 "completed": {}}
-        path.write_text(json.dumps(state))
-        with pytest.raises(ValueError):
+        data = journal_header(SearchConfig(n=8), 9)
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="other filters"):
             classify_extended_unitrades(SearchConfig(n=6, checkpoint_path=str(path)))
+        assert path.read_bytes() == data
 
 
 class TestMinUnitradeSize:
@@ -1004,14 +1083,11 @@ class TestLongJobs:
         path = tmp_path / "n10.ckpt"
         cfg = SearchConfig(n=10, antipodal_only=True, threads=2, checkpoint_path=str(path))
         assert classify_extended_unitrades(cfg) == serial
-        state = json.loads(path.read_text())
-        done = sorted(state["completed"], key=int)
-        assert len(done) == 17
-        for i in done[::2]:
-            del state["completed"][i]
-        path.write_text(json.dumps(state))
+        header, *entries = path.read_bytes().splitlines(keepends=True)
+        assert len(entries) == 17
+        path.write_bytes(header + b"".join(entries[1::2]))
         assert classify_extended_unitrades(cfg) == serial
-        assert sorted(json.loads(path.read_text())["completed"], key=int) == done
+        assert sorted(journal_units(path)) == list(range(17))
 
     def test_n10_full_classification(self):
         # 30 primary (connected) classes, and two 80-word disjoint unions
