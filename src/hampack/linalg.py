@@ -108,18 +108,38 @@ def coset_union(group_code: Code, reps: Sequence[Word]) -> Code:
     The carrier must actually be a group under coordinatewise addition
     mod q (checked).  Representatives falling in a common coset collapse,
     with a warning, since the union is taken as a set.
+
+    Closure is checked in O(|G|) additions: the subgroup generated so far,
+    H, grows by one member g at a time into H ∪ (H+g) ∪ (H+2g) ∪ ...,
+    stopping at the first coset that lands back in H, and every new
+    element must be a member.  Each new element is the sum of an element
+    already proven a member and g, so a missing one names two members
+    whose sum is missing.  Once every member lies in H, H is the carrier.
     """
     space, q = group_code.space, group_code.space.q
     members = set(group_code.keys)
     if len(members) != len(group_code):
         raise ValueError("coset carrier contains duplicate words")
-    if space.zero().key not in members:
+    zero = space.zero().key
+    if zero not in members:
         raise ValueError("coset carrier is not a group: missing the zero word")
-    for a in members:
-        for b in members:
-            if _add_keys(q, a, b) not in members:
-                raise ValueError("coset carrier is not closed under addition: "
-                                 f"{_word(space, a)} + {_word(space, b)}")
+    subgroup, generated = [zero], {zero}
+    for g in group_code.keys:
+        if g in generated:
+            continue
+        coset, grown = subgroup, []  # coset = H + k·g, and coset[0] = k·g
+        while _add_keys(q, coset[0], g) not in generated:
+            shifted = []
+            for a in coset:
+                s = _add_keys(q, a, g)
+                if s not in members:
+                    raise ValueError("coset carrier is not closed under addition: "
+                                     f"{_word(space, a)} + {_word(space, g)}")
+                shifted.append(s)
+            coset = shifted
+            grown += coset
+            generated.update(coset)
+        subgroup += grown
     for r in reps:
         _check_same_space(group_code, r)
     union = {_add_keys(q, k, r.key) for r in reps for k in members}

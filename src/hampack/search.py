@@ -39,12 +39,15 @@ the rest get canonical forms, which merge the G-orbits into classes.
 
 Equivalence is the isometry group of H(n, 2) acting on vertex sets:
 coordinate permutations composed with translations (odd-parity sets are
-translated onto even parity).  The canonical form is the exact
-lexicographic minimum of the sorted word list over the group, computed
-by branch and bound over ordered column partitions: the minimum always
-starts with the zero word, so only translations by members matter, and
-columns are refined word by word, emitting at each step the smallest
-realizable next word.
+translated onto even parity).  Two sets are compared by invariants
+first, in order: size, distance profile, and the GF(2) rank of the
+difference set {c + c0} (the dimension of the affine span); only sets
+that agree on all three get canonical forms.  The canonical form is
+the exact lexicographic minimum of the sorted word list over the group,
+computed by branch and bound over ordered column partitions: the
+minimum always starts with the zero word, so only translations by
+members matter, and columns are refined word by word, emitting at each
+step the smallest realizable next word.
 
 ``max_twofold_packing_size`` and ``max_packing_size`` are independent
 branch-and-bound oracles over raw vertex sets; they certify exact
@@ -79,6 +82,7 @@ from typing import IO, Iterator, NamedTuple, Optional, Sequence
 from .analysis import _bipartition, _distance_counts, _reducibility, is_antipodal, is_extended_unitrade
 from .bounds import lp_bound, sphere_packing_bound
 from .core import Code, Space, _check_lambda, _code
+from .linalg import gf2_rank
 
 _MIN_N, _MAX_N = 4, 12
 
@@ -212,33 +216,46 @@ def _canonical_keys_cached(keys: tuple[int, ...], n: int) -> tuple[int, ...]:
     return _canonical_search(keys, n)[0]
 
 
-def _canonical_form_keys(t_set: Code) -> tuple[int, ...]:
+def canonical_form(t_set: Code) -> Code:
+    """Lexicographic minimum of the set over coordinate permutations and
+    translations; idempotent, and equal across equivalent sets."""
     if t_set.space.q != 2:
         raise ValueError("canonical forms are implemented for q=2 only")
     keys = t_set.keys
     if len(set(keys)) != len(keys):
         raise ValueError("canonical forms are defined for multiplicity-free sets")
-    return _canonical_keys_cached(keys, t_set.space.n)
+    return _code(t_set.space, _canonical_keys_cached(keys, t_set.space.n))
 
 
-def canonical_form(t_set: Code) -> Code:
-    """Lexicographic minimum of the set over coordinate permutations and
-    translations; idempotent, and equal across equivalent sets."""
-    return _code(t_set.space, _canonical_form_keys(t_set))
+def _difference_rank(t_set: Code) -> int:
+    """GF(2) rank of the difference set {c + c0}: the dimension of the
+    set's affine span, which every isometry of H(n, 2) preserves."""
+    keys = t_set.keys
+    return gf2_rank(_code(t_set.space, [k ^ keys[0] for k in keys])) if keys else 0
 
 
 def are_equivalent(a: Code, b: Code) -> bool:
     """One set maps to the other under a coordinate permutation plus a
-    translation; decided by comparing canonical forms."""
+    translation.
+
+    Both sets must be multiplicity-free (``ValueError`` otherwise, before
+    anything is compared).  The checks run cheapest first: size, distance
+    profile, the rank of the difference set, and only then the canonical
+    forms, which alone can answer True.
+    """
     if a.space.n != b.space.n:
         raise ValueError("sets of different lengths are never equivalent")
     if a.space.q != 2 or b.space.q != 2:
         raise ValueError("equivalence is implemented for q=2 only")
+    if len(set(a.keys)) != len(a) or len(set(b.keys)) != len(b):
+        raise ValueError("equivalence is defined for multiplicity-free sets")
     if len(a) != len(b):
         return False
     if _distance_counts(a.space, a.keys) != _distance_counts(b.space, b.keys):
         return False
-    return _canonical_form_keys(a) == _canonical_form_keys(b)
+    if _difference_rank(a) != _difference_rank(b):
+        return False
+    return _canonical_keys_cached(a.keys, a.space.n) == _canonical_keys_cached(b.keys, b.space.n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 They read a code's space and keys, and share no code with ``hampack``.
 """
 
+from collections import Counter
 from itertools import combinations, product
 
 
@@ -32,14 +33,24 @@ def halved_cube_reading(t_set) -> bool:
 def radius1_coverage(t_set) -> dict:
     """How many codewords, repeats counted, lie within distance 1 of each
     vertex of the space; every vertex is listed, as a tuple of symbols,
-    covered or not.  Balls are walked one changed symbol at a time."""
+    covered or not."""
+    vertices = list(product(range(t_set.space.q), repeat=t_set.space.n))
+    return dict(zip(vertices, radius1_counts(t_set, vertices)))
+
+
+def radius1_counts(t_set, vertices) -> list:
+    """How many codewords, repeats counted, lie within distance 1 of each
+    given vertex (a tuple of symbols); each ball is walked one changed
+    symbol at a time, so spaces too large to list can be sampled."""
     n, q = t_set.space.n, t_set.space.q
-    counts = dict.fromkeys(product(range(q), repeat=n), 0)
-    for key in t_set.keys:
-        word = tuple(key >> (n - 1 - i) & 1 for i in range(n)) if q == 2 else tuple(key)
-        counts[word] += 1
+    words = Counter(tuple(key >> (n - 1 - i) & 1 for i in range(n)) if q == 2 else tuple(key)
+                    for key in t_set.keys)
+    counts = []
+    for v in vertices:
+        total = words[v]
         for i in range(n):
             for s in range(q):
-                if s != word[i]:
-                    counts[word[:i] + (s,) + word[i + 1:]] += 1
+                if s != v[i]:
+                    total += words[v[:i] + (s,) + v[i + 1:]]
+        counts.append(total)
     return counts

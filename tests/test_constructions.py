@@ -14,7 +14,7 @@ from hampack.analysis import (
 )
 from hampack.core import Code, Space, Word, hamming_distance, weight
 from hampack.linalg import gf2_rank
-from oracles import radius1_coverage
+from oracles import radius1_counts, radius1_coverage
 
 
 def bword(s: str) -> Word:
@@ -119,6 +119,16 @@ class TestHammingCode:
             assert len(union) == lam * q ** (q - 1)
             counts = radius1_coverage(union)
             assert len(counts) == q ** (q + 1) and set(counts.values()) == {lam}, (q, lam)
+
+    @pytest.mark.parametrize("lam", [1, 2])
+    def test_coset_union_over_gf7(self, lam):
+        # 7^8 vertices are too many to list: sample them
+        union = con.hamming_coset_union(7, lam)
+        assert len(union) == lam * 7 ** 6
+        rng = random.Random(lam)
+        vertices = [tuple(rng.randrange(7) for _ in range(8)) for _ in range(300)]
+        vertices += [w.symbols for w in union.words[::5000]]  # codewords too
+        assert set(radius1_counts(union, vertices)) == {lam}
 
     def test_repeated_cosets_collapse_to_fewer_folds(self):
         # two representatives of one coset: a union of 2 cosets, a 2-fold

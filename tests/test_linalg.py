@@ -1,10 +1,12 @@
 """GF(2) spans, coset unions, the Gray map, Z2Z4 modules, propelinear maps."""
 
 import random
+import re
 
 import pytest
 
-from hampack.constructions import embedded_data
+from hampack import linalg
+from hampack.constructions import embedded_data, hamming_code_q
 from hampack.core import Code, Space, Word, hamming_distance
 from hampack.linalg import (
     BinaryMatrix,
@@ -105,6 +107,32 @@ class TestCosetUnion:
             coset_union(Code.from_strings(["000", "110", "011"], 2), [bword("000")])
         with pytest.raises(ValueError):
             coset_union(Code.from_strings(["110"], 2), [bword("000")])
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_missing_sum_is_named_by_two_members(self, q):
+        group = hamming_code_q(q) if q > 2 else gf2_span([bword("11000"), bword("01110"), bword("00111")])
+        for dropped in group.words[1::3]:
+            carrier = Code(group.space, [w for w in group.words if w != dropped])
+            with pytest.raises(ValueError, match="not closed under addition") as err:
+                coset_union(carrier, [group.space.zero()])
+            a, b = (Word.from_string(s, q) for s in re.findall(r"(\d+) \+ (\d+)", str(err.value))[0])
+            assert a in carrier.words and b in carrier.words and a + b not in carrier.words
+
+    def test_closure_check_is_linear_in_the_group_size(self, monkeypatch):
+        add, additions = linalg._add_keys, 0
+
+        def counting_add(q, a, b):
+            nonlocal additions
+            additions += 1
+            return add(q, a, b)
+
+        monkeypatch.setattr(linalg, "_add_keys", counting_add)
+        group = hamming_code_q(5)  # 625 words
+        union = coset_union(group, [group.space.zero(), Word.from_symbols((1, 0, 0, 0, 0, 0), 5)])
+        assert len(union) == 1250
+        # closure: |G| - 1 new elements and one k·g test per coset; then
+        # |G| per representative.  All pairs would take |G|^2 = 390,625.
+        assert additions <= 2 * len(group) + len(union)
 
 
 class TestGrayMap:

@@ -16,6 +16,7 @@ import pytest
 from hampack import constructions as con
 from hampack import search
 from hampack.analysis import (
+    _distance_counts,
     is_antipodal,
     is_bipartite_unitrade,
     is_extended_unitrade,
@@ -33,6 +34,7 @@ from hampack.search import (
     _expand_units,
     _OrbitSieve,
     _canonical_search,
+    _difference_rank,
     _enumerate_with_seed,
     _max_packing_search,
     _node,
@@ -265,6 +267,69 @@ class TestAreEquivalent:
             are_equivalent(ternary, binary)
         with pytest.raises(ValueError):
             are_equivalent(binary, ternary)
+
+    def test_repeated_words_raise_before_any_invariant(self):
+        # a cheaper invariant must not decide for a set outside the domain
+        repeated = Code.from_strings(["0000", "0000", "1100"], 2)
+        others = [Code.from_strings(words, 2) for words in (
+            ["0000", "1111", "1100"],  # same size, other distance profile
+            ["0011", "0011", "1111"],  # same profile, also repeated
+            ["0000", "1100"],  # other size
+        )]
+        for other in others:
+            for a, b in ((repeated, other), (other, repeated)):
+                with pytest.raises(ValueError, match="multiplicity-free"):
+                    are_equivalent(a, b)
+
+    def test_matches_brute_force_forms(self):
+        # every equal-size pair of the oracle sets and their images
+        rng = random.Random(43)
+        items: dict[tuple[int, int], list[tuple[Code, list[int]]]] = {}
+        for keys, n in oracle_sets():
+            code = Code.from_bits(Space(n, 2), keys)
+            form = brute_force_form(keys, n)
+            items.setdefault((n, len(code)), []).extend(
+                [(code, form), (random_isometry(rng, code), form)])
+        pairs = equivalent = 0
+        same_profile_split = {True: 0, False: 0}  # inequivalent, profiles equal: by rank?
+        for bucket in items.values():
+            for (a, form_a), (b, form_b) in combinations(bucket, 2):
+                assert are_equivalent(a, b) == (form_a == form_b), (a.keys, b.keys)
+                pairs += 1
+                equivalent += form_a == form_b
+                if form_a != form_b and _distance_counts(a.space, a.keys) == _distance_counts(b.space, b.keys):
+                    same_profile_split[_difference_rank(a) != _difference_rank(b)] += 1
+        assert pairs > 2000 and 300 < equivalent < pairs
+        assert min(same_profile_split.values()) > 0
+
+    def test_difference_rank_is_an_isometry_invariant(self, all_pairs):
+        rng = random.Random(44)
+        cases = [con.diagonal_unitrade(6), con.l_star(6)]
+        cases += [t for pair in all_pairs.values() for t in pair]  # C0 and C4 cells
+        cases += [c.representative for c in classify_extended_unitrades(SearchConfig(n=8))]
+        for t in cases:
+            rank = _difference_rank(t)
+            assert 2 ** rank == len(span([k ^ t.keys[0] for k in t.keys]))
+            for _ in range(5):
+                assert _difference_rank(random_isometry(rng, t)) == rank
+        assert [_difference_rank(c0) for c0, _ in all_pairs.values()] == [5, 6, 7]
+
+    def test_rank_rejects_before_canonical_search(self, all_pairs):
+        # the three 32-word classes of length 8, and the three C0 codes,
+        # agree in size and distance profile and differ in rank
+        rng = random.Random(45)
+        classes = classify_extended_unitrades(SearchConfig(n=8))
+        for family in ([c.representative for c in classes if c.cardinality == 32],
+                       [c0 for c0, _ in all_pairs.values()]):
+            images = [random_isometry(rng, t) for t in family]
+            assert len(images) == 3
+            assert len({tuple(_distance_counts(t.space, t.keys)) for t in images}) == 1
+            assert len({_difference_rank(t) for t in images}) == 3
+            before = search._canonical_keys_cached.cache_info()
+            for a, b in permutations(images, 2):
+                assert not are_equivalent(a, b)
+            after = search._canonical_keys_cached.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestClassifySmall:
