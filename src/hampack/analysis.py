@@ -11,10 +11,15 @@ The central objects being verified:
 
 Each property is read once, by exact ball counts: over the balls
 around the codewords, or over the whole space when those balls would
-cover half of it or more.  For n >= 5 the extended property of a set
-without repeated words has an equivalent reading inside the halved
-n-cube (degree exactly n/2, no triangles), which the tests use as an
-oracle.
+cover half of it or more.  Both unitrade readings count radius-1 balls
+through ``_coverage_counts_union``; the extended one reads the counts
+at the centres of opposite parity.  For n >= 5 the extended property
+of a set without repeated words has an equivalent reading inside the
+halved n-cube (degree exactly n/2, no triangles), which the tests use
+as an oracle.
+
+The bipartition and the primary components of a unitrade come from one
+depth-first walk of its conflict graph (words sharing a radius-1 ball).
 
 All distributions (distance distribution, MacWilliams transform) are
 computed in exact rational arithmetic, so nonnegativity of the dual
@@ -124,25 +129,20 @@ def is_extended_unitrade(t_set: Code) -> CheckResult:
     """Constant-parity set meeting opposite-parity balls in 0 or 2 words.
 
     One reading, the definitional ball count: only the balls centred at
-    the opposite-parity neighbours of members can meet the set, so no
+    the opposite-parity neighbours of members can meet the set, and the
+    balls around the members reach every one of those centres, so no
     full scan is needed, and nothing cross-checks the count at run time.
     Balls count repeated words with multiplicity, as in ``is_unitrade``.
     """
-    space = t_set.space
-    if space.q != 2:
+    if t_set.space.q != 2:
         raise ValueError("extended unitrades are defined for q=2 only")
-    if len({k.bit_count() & 1 for k in t_set.keys}) > 1:
+    parity = {k.bit_count() & 1 for k in t_set.keys}
+    if len(parity) > 1:
         raise ValueError("mixed-parity input: not a candidate extended unitrade")
-    # relevant ball centers are the opposite-parity words adjacent to members
-    counts: dict = {}
-    n = space.n
-    for t in t_set.keys:
-        for b in range(n):
-            c = t ^ (1 << b)
-            counts[c] = counts.get(c, 0) + 1
-    bad = [k for k, v in counts.items() if v != 2]
+    counts = _coverage_counts_union(t_set, 1)
+    bad = [k for k, v in counts.items() if v != 2 and k.bit_count() & 1 not in parity]
     if bad:
-        return CheckResult(False, _word(space, min(bad)))
+        return CheckResult(False, _word(t_set.space, min(bad)))
     return CheckResult(True, None)
 
 
@@ -226,7 +226,7 @@ def is_bipartite_unitrade(t_set: Code, extended: bool) -> Bipartition:
 
     The conflict graph joins words at distance <= 2 (exactly 2 in the
     extended case, where all distances are even); a valid split is a
-    proper 2-coloring, and an odd cycle found by the BFS refutes it.
+    proper 2-coloring, and an odd cycle found by the walk refutes it.
     """
     _require_unitrade(t_set, extended)
     return _bipartition(t_set, extended)
@@ -235,28 +235,41 @@ def is_bipartite_unitrade(t_set: Code, extended: bool) -> Bipartition:
 def _bipartition(t_set: Code, extended: bool) -> Bipartition:
     """The 2-coloring of ``is_bipartite_unitrade``, for a known unitrade."""
     keys = t_set.keys
-    m = len(keys)
+    _, color, parent, clash = _conflict_walk(t_set, extended)
+    if clash is not None:
+        return Bipartition(None, tuple(_word(t_set.space, keys[i]) for i in _odd_cycle(*clash, parent)))
+    part0 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 0])
+    part1 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 1])
+    return Bipartition((part0, part1), None)
+
+
+def _conflict_walk(t_set: Code, extended: bool):
+    """One depth-first walk of the conflict graph: the components (word
+    indices in discovery order), each word's colour and parent, and the
+    first same-colour edge (None if there is none).  Parents are set
+    once, so that edge closes the odd cycle an early-exit walk finds."""
     adj = _conflict_adjacency(t_set, extended)
-    color = [-1] * m
-    parent = [-1] * m
-    for start in range(m):
+    color = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    components: list[list[int]] = []
+    clash = None
+    for start in range(len(adj)):
         if color[start] != -1:
             continue
         color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
+        stack, members = [start], [start]
+        while stack:
+            u = stack.pop()
             for v in adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    cycle = _odd_cycle(u, v, parent)
-                    return Bipartition(None, tuple(_word(t_set.space, keys[i]) for i in cycle))
-    part0 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 0])
-    part1 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 1])
-    return Bipartition((part0, part1), None)
+                    stack.append(v)
+                    members.append(v)
+                elif clash is None and color[v] == color[u]:
+                    clash = (u, v)
+        components.append(members)
+    return components, color, parent, clash
 
 
 def _odd_cycle(u: int, v: int, parent: list[int]) -> list[int]:
@@ -283,22 +296,8 @@ def primary_components(t_set: Code, extended: bool) -> list[Code]:
     """
     _require_unitrade(t_set, extended)
     keys = t_set.keys
-    adj = _conflict_adjacency(t_set, extended)
-    comp = [-1] * len(keys)
-    pieces: list[Code] = []
-    for start in range(len(keys)):
-        if comp[start] != -1:
-            continue
-        comp[start] = len(pieces)
-        stack, members = [start], [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp[v] == -1:
-                    comp[v] = comp[start]
-                    stack.append(v)
-                    members.append(v)
-        pieces.append(_code(t_set.space, [keys[i] for i in members]))
+    pieces = [_code(t_set.space, [keys[i] for i in members])
+              for members in _conflict_walk(t_set, extended)[0]]
     pieces.sort(key=lambda c: c.keys)
     return pieces
 
@@ -353,10 +352,10 @@ def _reducibility(t_set: Code) -> Reducibility:
         return a
 
     keys = t_set.keys
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            diff = a ^ b
-            if diff.bit_count() == 2:
+    for i, row in enumerate(_conflict_adjacency(t_set, True)):
+        for j in row:
+            diff = keys[i] ^ keys[j]
+            if j > i and diff:  # diff == 0: a repeated word, at distance 0
                 hi = diff.bit_length() - 1
                 lo = (diff ^ (1 << hi)).bit_length() - 1
                 ra, rb = find(n - 1 - hi), find(n - 1 - lo)

@@ -195,6 +195,7 @@ def unitrade_min_cardinality(n: int, extended: bool, bipartite: bool = False) ->
     extended value).  Plain unitrades need odd n: 2^((n+1)/2) in
     general, and the recorded bipartite value is 2^((n-1)/2).
     """
+    _validate_params(n, 2)
     if extended:
         if n % 2:
             raise ValueError("extended unitrades of odd length are empty; no minimum is defined")

@@ -135,53 +135,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     n, q, lam, r = args.n, args.q, args.lam, args.r
     rows: list[dict] = []
-    rows.append(
-        {
-            "formula_id": "sphere_packing",
-            "value": bounds.sphere_packing_bound(n, q, lam, r),
-            "notes": f"floor(lambda q^n / |B_{r}|)",
-        }
-    )
-    if r == 1:
+
+    def add(formula_id: str, value: int, notes: str) -> None:
+        rows.append({"formula_id": formula_id, "value": value, "notes": notes})
+
+    add("sphere_packing", bounds.sphere_packing_bound(n, q, lam, r), f"floor(lambda q^n / |B_{r}|)")
+    # H(1, 2) is K2, whose eigenvalues +-1 both reach the degree: no spectral bound
+    if r == 1 and (n, q) != (1, 2):
         eig = bounds.hamming_eigenvalue_bound(n, q, lam)
-        rows.append(
-            {
-                "formula_id": eig.formula_id,
-                "value": eig.value,
-                "notes": "; ".join(eig.assumptions) + ("; vacuous" if eig.vacuous else ""),
-            }
-        )
-    if q == 2 and r == 1 and not args.even_weight and n >= 2:
-        lp = bounds.lp_bound(n, lam)
-        rows.append({"formula_id": lp.formula_id, "value": lp.value, "notes": f"exact {lp.raw}"})
-    if q == 2 and r == 1 and args.even_weight and n >= 3:
-        lp = bounds.lp_bound_even(n, lam)
-        rows.append({"formula_id": lp.formula_id, "value": lp.value, "notes": f"exact {lp.raw}"})
+        add(eig.formula_id, eig.value, "; ".join(eig.assumptions) + ("; vacuous" if eig.vacuous else ""))
+    lp_bound, least_n = (bounds.lp_bound_even, 3) if args.even_weight else (bounds.lp_bound, 2)
+    if q == 2 and r == 1 and n >= least_n:
+        lp = lp_bound(n, lam)
+        add(lp.formula_id, lp.value, f"exact {lp.raw}")
     if lam == n and r == 1:
         lower, upper = bounds.mds_interval(n, q)
-        rows.append(
-            {
-                "formula_id": "mds_interval",
-                "value": int(upper),
-                "notes": f"lower {lower} (distance-2 MDS code), upper exact {upper}",
-            }
-        )
+        add("mds_interval", int(upper), f"lower {lower} (distance-2 MDS code), upper exact {upper}")
         if q >= 2 * n:
-            rows.append(
-                {
-                    "formula_id": "mds_optimal",
-                    "value": lower,
-                    "notes": "q >= 2n: the MDS value is exactly optimal",
-                }
-            )
+            add("mds_optimal", lower, "q >= 2n: the MDS value is exactly optimal")
         elif q >= n:
-            rows.append(
-                {
-                    "formula_id": "mds_conjectured",
-                    "value": lower,
-                    "notes": "q >= n: conjectured optimal, not asserted",
-                }
-            )
+            add("mds_conjectured", lower, "q >= n: conjectured optimal, not asserted")
     payload = {"n": n, "q": q, "lambda": lam, "r": r, "even_weight": args.even_weight, "bounds": rows}
     if args.json:
         print(json.dumps(payload, sort_keys=True))

@@ -167,8 +167,8 @@ def hamming_code_q(q: int) -> Code:
     Two check equations over the projective-line columns; the kernel has
     q^(n-2) words and every radius-1 ball holds exactly one of them.
     """
-    if not (q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))):
-        raise ValueError(f"prime-field construction only: q={q} is not prime")
+    if type(q) is not int or not (q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))):
+        raise ValueError(f"prime-field construction only: q={q!r} is not a prime int")
     n = q + 1
     # pairwise independent columns over GF(q): the projective line
     cols = [(0, 1), (1, 0)] + [(1, a) for a in range(1, q)]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _word
 
@@ -92,14 +92,13 @@ def gf2_rank(code: Code) -> int:
     """Dimension of the GF(2) span of the words."""
     if code.space.q != 2 and code.keys:
         raise ValueError("gf2_rank requires q=2")
-    basis: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> the basis row with that leading bit
     for v in code.keys:
-        for b in basis:
-            v = min(v, v ^ b)
+        while v and (p := pivots.get(v.bit_length())):
+            v ^= p
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+            pivots[v.bit_length()] = v
+    return len(pivots)
 
 
 def coset_union(group_code: Code, reps: Sequence[Word]) -> Code:
@@ -220,6 +219,22 @@ def gray_image(words: Iterable[MixedWord]) -> Code:
     return Code(ws[0].space, ws)
 
 
+def _closure(seeds: Iterable, gens: Sequence, act: Callable) -> set:
+    """The seeds and everything reached from them by ``act(g, x)``, breadth first."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def z4_module_span(gens: MixedMatrix | Sequence[MixedWord]) -> list[MixedWord]:
     """Closure of the generators under mixed addition (Z2 mod 2, Z4 mod 4);
     with no generators the span is the zero word alone."""
@@ -232,18 +247,7 @@ def z4_module_span(gens: MixedMatrix | Sequence[MixedWord]) -> list[MixedWord]:
             raise ValueError("empty generator list: the zero shape is ambiguous; pass a MixedMatrix")
         shape = (len(rows[0].z2), len(rows[0].z4))
     zero = MixedWord((0,) * shape[0], (0,) * shape[1])
-    span = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in rows:
-                w = v + g
-                if w not in span:
-                    span.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(span, key=lambda m: (m.z2, m.z4))
+    return sorted(_closure([zero], rows, MixedWord.__add__), key=lambda m: (m.z2, m.z4))
 
 
 # ---------------------------------------------------------------------------
@@ -312,33 +316,10 @@ def group_closure(gens: Sequence[PropelinearMap]) -> list[PropelinearMap]:
     """Smallest composition-closed set containing the generators and identity."""
     if not gens:
         raise ValueError("group_closure needs at least one generator to fix the space")
-    space = gens[0].translation.space
-    ident = PropelinearMap.identity(space)
-    els = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = g * a
-                if c not in els:
-                    els.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    els = _closure([PropelinearMap.identity(gens[0].translation.space)], gens, PropelinearMap.compose)
     return sorted(els, key=lambda m: (m.translation.key, m.permutation))
 
 
 def orbit(gens: Sequence[PropelinearMap], seed: Word) -> Code:
     """Orbit of a word under the group generated by the maps."""
-    seen = {seed.key}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g(x)
-                if y.key not in seen:
-                    seen.add(y.key)
-                    nxt.append(y)
-        frontier = nxt
-    return _code(seed.space, seen)
+    return _code(seed.space, (w.key for w in _closure([seed], gens, apply_propelinear)))

@@ -1047,6 +1047,4 @@ def max_twofold_packing_size(n: int) -> int:
     """Exact maximum size of a 2-fold 1-packing in H(n, 2), n <= 7."""
     if type(n) is not int or not 1 <= n <= 7:
         raise ValueError("the exhaustive two-fold oracle takes an int n in 1..7")
-    if n == 1:
-        return 2
     return max_packing_size(n, 2, 2, 1)

@@ -8,6 +8,7 @@ import pytest
 
 from hampack import constructions
 from hampack.analysis import (
+    Reducibility,
     _bipartition,
     _conflict_adjacency,
     average_distance,
@@ -199,6 +200,21 @@ class TestBipartiteness:
             assert not res.bipartite
             assert len(res.odd_cycle) % 2 == 1
 
+    def test_odd_cycles_are_pinned(self):
+        # the cycle closed by the first same-colour edge of the walk
+        cycles = {n: [str(w) for w in _bipartition(constructions.l_star(n), True).odd_cycle]
+                  for n in (6, 8, 10)}
+        assert cycles == {
+            6: ["000000", "100001", "110011", "110110", "000110"],
+            8: ["11000011", "11011011", "11111111", "11110110", "11000110"],
+            10: ["1111110011", "1111110110", "1111111100", "1111011000", "1111011011"],
+        }
+        reps = [c.representative for c in classify_extended_unitrades(SearchConfig(n=8)) if not c.bipartite]
+        assert [[str(w) for w in _bipartition(t, True).odd_cycle] for t in reps] == [
+            ["11000000", "11100100", "11100111", "10101111", "10111011", "11011011", "11000011"],
+            ["11000000", "11100010", "11101110", "11001111", "11000101"],
+        ]
+
     def test_empty_bipartite(self):
         assert is_bipartite_unitrade(Code(Space(4, 2), []), extended=True).bipartite
 
@@ -266,6 +282,13 @@ class TestComponentsAndReducibility:
     def test_lstar_irreducible(self):
         for n in (6, 8, 10):
             assert reducibility_certificate(constructions.l_star(n)).kind == "irreducible"
+
+    def test_repeated_word_certificate(self):
+        # distance-0 pairs join no coordinates
+        t = Code.from_strings(["0000", "0000"], 2)
+        assert is_extended_unitrade(t).ok
+        cert = reducibility_certificate(t)
+        assert cert == Reducibility("unknown", ((0,), (1,), (2,), (3,)))
 
     def test_product_factorization(self):
         t = constructions.concatenate(

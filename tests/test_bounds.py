@@ -70,6 +70,10 @@ class TestIntegerParameters:
         assert mds_interval(3, 7) == (49, Fraction(3 * 343, 19))
         assert hamming_eigenvalue_bound(3, 7, 3).value == 49
 
+    def test_k2_spectrum_is_degenerate(self):
+        with pytest.raises(ValueError, match="degenerate spectrum"):
+            hamming_eigenvalue_bound(1, 2, 1)
+
 
 class TestRegularGraphBound:
     def test_alpha_zero_degenerates(self):
@@ -187,6 +191,11 @@ class TestUnitradeMinCardinality:
             unitrade_min_cardinality(7, extended=True)
         with pytest.raises(ValueError):
             unitrade_min_cardinality(8, extended=False)
+
+    @pytest.mark.parametrize("n, extended", [(0, True), (-2, True), (True, False)])
+    def test_length_must_be_a_positive_int(self, n, extended):
+        with pytest.raises(ValueError, match=f"n={n!r}"):
+            unitrade_min_cardinality(n, extended)
 
 
 class TestForcedDistanceProfile:

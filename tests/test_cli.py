@@ -88,6 +88,13 @@ class TestBound:
         ids = {row["formula_id"]: row for row in payload["bounds"]}
         assert "mds_optimal" in ids and ids["mds_optimal"]["value"] == 36
 
+    def test_k2_leaves_out_the_spectral_row(self, capsys):
+        # H(1, 2) = K2: alpha reaches the degree, and every other bound applies
+        rc, out, err = run(capsys, ["bound", "--n", "1", "--lambda", "1", "--json"])
+        assert rc == 0 and err == ""
+        values = {row["formula_id"]: row["value"] for row in json.loads(out)["bounds"]}
+        assert values == {"sphere_packing": 1, "mds_interval": 1, "mds_optimal": 1}
+
 
 class TestConstruct:
     def test_every_simple_family(self, capsys, tmp_path):

@@ -95,6 +95,12 @@ class TestHammingCode:
         with pytest.raises(ValueError):
             con.hamming_code_q(4)
 
+    @pytest.mark.parametrize("build", [con.hamming_code_q, lambda q: con.hamming_coset_union(q, 1)],
+                             ids=["code", "coset_union"])
+    def test_float_order_is_refused(self, build):
+        with pytest.raises(ValueError, match="q=3.0"):
+            build(3.0)
+
     def test_coset_union_sizes_and_folds(self):
         for lam in (1, 4, 9):
             union = con.hamming_coset_union(3, lam)

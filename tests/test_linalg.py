@@ -73,6 +73,14 @@ class TestGf2Rank:
         space = Space(6, 2)
         assert gf2_rank(Code.from_bits(space, [1 << i for i in range(6)])) == 6
 
+    def test_rank_matches_span_size_on_random_sets(self):
+        rng = random.Random(15)
+        for n in range(1, 13):
+            space = Space(n, 2)
+            for _ in range(10):
+                code = Code.from_bits(space, [rng.randrange(1 << n) for _ in range(rng.randrange(41))])
+                assert 2 ** gf2_rank(code) == len(gf2_span(code.words, space))
+
 
 class TestCosetUnion:
     def test_trivial(self):
