@@ -36,8 +36,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .core import (
-    Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code, _word,
-    hamming_distance,
+    Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code,
+    _key_of, _popcount_view, _symbols_of, _word, hamming_distance,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,20 +174,10 @@ class Bipartition:
         return self.bipartite
 
 
-def _spread(q: int, key: bytes) -> int:
-    """A q-ary key with each symbol spread one-hot over q bits."""
-    return sum(1 << (q * i + s) for i, s in enumerate(key))
-
-
 def _distance_rows(space: Space, keys: Sequence[int | bytes], others: Sequence[int | bytes]):
-    """For each key, the list of its distances to the keys ``others``.
-
-    q-ary keys are spread one-hot over q bits, so for every q the
-    distance is the popcount of an XOR (halved when q > 2).
-    """
-    shift = 0 if space.q == 2 else 1
-    if shift:
-        keys, others = [_spread(space.q, k) for k in keys], [_spread(space.q, k) for k in others]
+    """For each key, the list of its distances to the keys ``others``."""
+    keys, shift = _popcount_view(space, keys)
+    others, _ = _popcount_view(space, others)
     for a in keys:
         yield [(a ^ b).bit_count() >> shift for b in others]
 
@@ -195,16 +185,14 @@ def _distance_rows(space: Space, keys: Sequence[int | bytes], others: Sequence[i
 def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
     """counts[d]: the pairs i < j of ``keys`` at distance d, d = 0..n.
 
-    Spread q-ary keys differ in an even number of bits, twice their
-    distance, so their counts are read off at the even popcounts."""
-    if space.q == 2:
-        counts = [0] * (space.n + 1)
-    else:
-        keys, counts = [_spread(space.q, k) for k in keys], [0] * (2 * space.n + 1)
+    The view's popcounts are the distances shifted left by ``shift``, so
+    the counts are read off at every (1 << shift)-th popcount."""
+    keys, shift = _popcount_view(space, keys)
+    counts = [0] * ((space.n << shift) + 1)
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
             counts[(a ^ b).bit_count()] += 1
-    return counts if space.q == 2 else counts[::2]
+    return counts[::1 << shift]
 
 
 def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
@@ -321,14 +309,9 @@ class Reducibility:
 
 def _project(t_set: Code, coords: tuple[int, ...]) -> Code:
     """The set of words restricted to the coordinates (binary)."""
-    shifts = [t_set.space.n - 1 - c for c in coords]
-    keys = set()
-    for k in t_set.keys:
-        sub = 0
-        for s in shifts:
-            sub = (sub << 1) | ((k >> s) & 1)
-        keys.add(sub)
-    return _code(Space(len(coords), 2), keys)
+    space = Space(len(coords), 2)
+    words = (_symbols_of(t_set.space, k) for k in t_set.keys)
+    return _code(space, {_key_of(space, [s[c] for c in coords]) for s in words})
 
 
 def reducibility_certificate(t_set: Code) -> Reducibility:
@@ -455,13 +438,8 @@ def oa_strength1_check(t_set: Code) -> bool:
     """Each coordinate holds 0 and 1 equally often (strength-1 OA)."""
     if t_set.space.q != 2:
         raise ValueError("the balance check is defined for q=2 only")
-    n = t_set.space.n
-    m = len(t_set)
-    for i in range(n):
-        ones = sum((k >> (n - 1 - i)) & 1 for k in t_set.keys)
-        if 2 * ones != m:
-            return False
-    return True
+    columns = zip(*(_symbols_of(t_set.space, k) for k in t_set.keys))
+    return all(2 * sum(column) == len(t_set) for column in columns)
 
 
 def average_distance(t_set: Code, v: Word) -> Fraction:

@@ -16,7 +16,7 @@ Bounds implemented:
     with a four-way case split on n mod 4, in both the plain and the
     even-weight variants (the two variants agree under parity extension:
     plain(n) = even(n+1));
-  * the known minimum cardinalities of nonempty (extended, bipartite)
+  * the known minimum cardinalities of nonempty plain and extended
     1-perfect unitrades;
   * the forced local weight distribution of an even-weight packing that
     attains the LP bound with equality: no repeated codewords and
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
-from .core import _check_lambda, _check_radius
+from .core import _ball_size, _check_lambda
 
 
 def _validate_params(n: int, q: int) -> None:
@@ -38,11 +37,6 @@ def _validate_params(n: int, q: int) -> None:
         raise ValueError(f"word length must be a positive int, got n={n!r}")
     if type(q) is not int or q < 2:
         raise ValueError(f"alphabet size must be an int of at least 2, got q={q!r}")
-
-
-def _ball_size(n: int, q: int, r: int) -> int:
-    _check_radius(n, r)
-    return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
 
 
 @dataclass(frozen=True)
@@ -187,13 +181,14 @@ def lp_bound_even(n: int, lam: int) -> BoundResult:
 # unitrade minima and extremal profiles
 # ---------------------------------------------------------------------------
 
-def unitrade_min_cardinality(n: int, extended: bool, bipartite: bool = False) -> int:
+def unitrade_min_cardinality(n: int, extended: bool) -> int:
     """Known minimum cardinality of a nonempty 1-perfect unitrade.
 
-    Extended unitrades need even n and the minimum is 2^(n/2) (attained
-    by the diagonal, which is bipartite, so the flag does not change the
-    extended value).  Plain unitrades need odd n: 2^((n+1)/2) in
-    general, and the recorded bipartite value is 2^((n-1)/2).
+    Extended unitrades need even n and the minimum is 2^(n/2), attained
+    by the diagonal.  Plain unitrades need odd n and the minimum is
+    2^((n+1)/2), attained by the punctured diagonal.  Both are bipartite
+    (the conflict graph of either is a cube), so bipartiteness does not
+    change either minimum.
     """
     _validate_params(n, 2)
     if extended:
@@ -202,8 +197,6 @@ def unitrade_min_cardinality(n: int, extended: bool, bipartite: bool = False) ->
         return 1 << (n // 2)
     if n % 2 == 0:
         raise ValueError("the stated plain-unitrade minima apply to odd n only")
-    if bipartite:
-        return 1 << ((n - 1) // 2)
     return 1 << ((n + 1) // 2)
 
 

@@ -28,12 +28,13 @@ from functools import cache
 from itertools import product
 from math import isqrt
 
-from .core import Code, Space, Word, _check_lambda, _code
+from .core import Code, Space, Word, _check_lambda, _code, _key_of, _symbols_of
 from .linalg import (
     BinaryMatrix,
     MixedMatrix,
     MixedWord,
     PropelinearMap,
+    _coset_union,
     coset_union,
     gf2_span,
     gray_image,
@@ -152,13 +153,8 @@ def embedded_data() -> EmbeddedData:
 def mds_code(n: int, q: int) -> Code:
     """All words with digit sum 0 mod q: a distance-2 MDS code of size q^(n-1)."""
     space = Space(n, q)
-    keys = [_key(q, prefix + ((-sum(prefix)) % q,)) for prefix in product(range(q), repeat=n - 1)]
+    keys = [_key_of(space, prefix + ((-sum(prefix)) % q,)) for prefix in product(range(q), repeat=n - 1)]
     return _code(space, keys)
-
-
-def _key(q: int, symbols: tuple[int, ...]) -> int | bytes:
-    """The key of a word from its symbols, which lie in 0..q-1."""
-    return int("".join(map(str, symbols)), 2) if q == 2 else bytes(symbols)
 
 
 def hamming_code_q(q: int) -> Code:
@@ -178,7 +174,7 @@ def hamming_code_q(q: int) -> Code:
     for free in product(range(q), repeat=n - 2):
         s0 = sum(cols[j + 2][0] * free[j] for j in range(n - 2)) % q
         s1 = sum(cols[j + 2][1] * free[j] for j in range(n - 2)) % q
-        keys.append(_key(q, ((-s1) % q, (-s0) % q) + free))
+        keys.append(_key_of(space, ((-s1) % q, (-s0) % q) + free))
     return _code(space, keys)
 
 
@@ -194,13 +190,10 @@ def hamming_coset_union(q: int, lam: int, reps: list[Word] | None = None) -> Cod
     if lam > q * q:
         raise ValueError(f"coset count {lam} out of range 1..{q * q}")
     code = hamming_code_q(q)
-    n = q + 1
     if reps is None:
-        reps = []
-        for s0, s1 in product(range(q), repeat=2):
-            if len(reps) == lam:
-                break
-            reps.append(Word.from_symbols((s1, s0) + (0,) * (n - 2), q))
+        syndromes = list(product(range(q), repeat=2))[:lam]
+        keys = [_key_of(code.space, (s1, s0) + (0,) * (q - 1)) for s0, s1 in syndromes]
+        return _coset_union(code, keys)
     if len(reps) != lam:
         raise ValueError(f"expected {lam} representatives, got {len(reps)}")
     return coset_union(code, reps)
@@ -230,24 +223,17 @@ def l_star(n: int) -> Code:
     """
     if n % 2 or n < 6:
         raise ValueError("L*(n) needs even n >= 6")
-    half = n // 2
-    space = Space(n, 2)
-    base: list[int] = []
-    for pattern in range(1 << half):
-        if pattern.bit_count() % 2:
-            continue
-        key = 0
-        for t in range(half):
-            if (pattern >> (half - 1 - t)) & 1:
-                key |= 0b11 << (n - 2 - 2 * t)
-        base.append(key)
-    keys = set(base)
+    base = [[b for b in pairs for _ in range(2)]
+            for pairs in product((0, 1), repeat=n // 2) if sum(pairs) % 2 == 0]
+    words = {tuple(w) for w in base}
     for i in range(0, n, 2):
-        # overwrite coordinates i, i+1, i+2, i+3 (mod n) with 0, 1, 1, 0
-        clear = sum(1 << (n - 1 - (i + d) % n) for d in range(4))
-        put = (1 << (n - 1 - (i + 1) % n)) | (1 << (n - 1 - (i + 2) % n))
-        keys.update((key & ~clear) | put for key in base)
-    return _code(space, keys)
+        for w in base:
+            w = w[:]
+            for d, s in enumerate((0, 1, 1, 0)):
+                w[(i + d) % n] = s
+            words.add(tuple(w))
+    space = Space(n, 2)
+    return _code(space, [_key_of(space, w) for w in words])
 
 
 def concatenate(left: Code, right: Code) -> Code:
@@ -279,24 +265,19 @@ def puncture_last(code: Code) -> Code:
     if code.space.n < 2:
         raise ValueError("cannot puncture length-1 words")
     space = Space(code.space.n - 1, code.space.q)
-    if code.space.q == 2:
-        return _code(space, (k >> 1 for k in code.keys))
-    return _code(space, (k[:-1] for k in code.keys))
+    return _code(space, (_key_of(space, _symbols_of(code.space, k)[:-1]) for k in code.keys))
 
 
 def shorten(code: Code, coord: int, symbol: int) -> Code:
     """Keep words with the given symbol at coord, then delete that coordinate."""
     n, q = code.space.n, code.space.q
-    if not 0 <= coord < n:
-        raise ValueError(f"coordinate {coord} out of range 0..{n - 1}")
-    if not 0 <= symbol < q:
-        raise ValueError(f"symbol {symbol} out of alphabet range")
+    if type(coord) is not int or not 0 <= coord < n:
+        raise ValueError(f"coordinate {coord!r} out of range: expected an int in 0..{n - 1}")
+    if type(symbol) is not int or not 0 <= symbol < q:
+        raise ValueError(f"symbol {symbol!r} out of range: expected an int in 0..{q - 1}")
     space = Space(n - 1, q)
-    if q > 2:
-        return _code(space, (k[:coord] + k[coord + 1:] for k in code.keys if k[coord] == symbol))
-    shift = n - 1 - coord
-    low = (1 << shift) - 1
-    return _code(space, ((k >> 1 & ~low) | (k & low) for k in code.keys if k >> shift & 1 == symbol))
+    words = (_symbols_of(code.space, k) for k in code.keys)
+    return _code(space, (_key_of(space, s[:coord] + s[coord + 1:]) for s in words if s[coord] == symbol))
 
 
 def majority_shorten(code: Code, coord: int) -> Code:

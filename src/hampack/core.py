@@ -26,6 +26,10 @@ Text interchange format (the only on-disk format used by the package)::
 Words are ASCII digit strings over '0'..'q-1'; lines starting with '#'
 and blank lines are ignored.  Writers emit words in canonical order.
 
+Only this module turns symbols into keys and back (``_key_of``,
+``_symbols_of``, ``_popcount_view``); other modules work on keys and
+never branch on a key's type.
+
 Input is checked at the boundary (``Word``, ``Word.from_*``, ``Code``,
 ``Code.from_*``, ``parse_code``).  Inside, ``_word(space, key)`` and
 ``_code(space, keys)`` build without checks, on the invariant that each
@@ -39,9 +43,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 MAX_Q = 10         # digit-string I/O: one character per symbol
 MAX_BINARY_N = 64  # binary fast path: one machine word of bits
@@ -81,8 +86,7 @@ class Space:
 
     def ball_size(self, r: int) -> int:
         """|B_r| = sum_{i<=r} C(n,i)(q-1)^i."""
-        _check_radius(self.n, r)
-        return sum(comb(self.n, i) * (self.q - 1) ** i for i in range(r + 1))
+        return _ball_size(self.n, self.q, r)
 
     def __iter__(self) -> Iterator["Word"]:
         """All q**n words in lexicographic order."""
@@ -94,7 +98,7 @@ class Space:
                 yield _word(self, bytes(symbols))
 
     def zero(self) -> "Word":
-        return _word(self, 0 if self.q == 2 else bytes(self.n))
+        return _word(self, _key_of(self, (0,) * self.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,14 +127,9 @@ class Word:
     def from_symbols(cls, symbols: Iterable[int], q: int) -> "Word":
         syms = tuple(symbols)
         space = Space(len(syms), q)
-        if q == 2:
-            key = 0
-            for s in syms:
-                if s not in (0, 1):
-                    raise ValueError(f"symbol {s} out of range for q=2")
-                key = (key << 1) | s
-            return cls(space, key)
-        return cls(space, bytes(syms))
+        if not all(type(s) is int and 0 <= s < q for s in syms):
+            raise ValueError(f"symbols must be ints in 0..{q - 1}, got {syms}")
+        return _word(space, _key_of(space, syms))
 
     @classmethod
     def from_string(cls, text: str, q: int) -> "Word":
@@ -139,17 +138,12 @@ class Word:
 
     @property
     def symbols(self) -> tuple[int, ...]:
-        n = self.space.n
-        if self.space.q == 2:
-            return tuple((self.key >> (n - 1 - i)) & 1 for i in range(n))
-        return tuple(self.key)
+        return _symbols_of(self.space, self.key)
 
     @property
     def parity(self) -> int:
         """Sum of symbols mod 2 (the parity bit for q=2)."""
-        if self.space.q == 2:
-            return self.key.bit_count() & 1
-        return sum(self.key) & 1
+        return sum(self.symbols) & 1
 
     def __str__(self) -> str:
         return _key_text(self.space, self.key)
@@ -168,10 +162,8 @@ class Word:
         return _word(self.space, _add_keys(self.space.q, self.key, other.key))
 
     def __neg__(self) -> "Word":
-        if self.space.q == 2:
-            return self
         q = self.space.q
-        return _word(self.space, bytes((-a) % q for a in self.key))
+        return _word(self.space, _key_of(self.space, [(-s) % q for s in self.symbols]))
 
     def __sub__(self, other: "Word") -> "Word":
         return self + (-other)
@@ -188,6 +180,35 @@ def _word(space: Space, key: int | bytes) -> Word:
     _set_space(w, space)
     _set_key(w, key)
     return w
+
+
+def _key_of(space: Space, symbols: Iterable[int]) -> int | bytes:
+    """The key of the word with these symbols, each known to lie in 0..q-1."""
+    if space.q == 2:
+        key = 0
+        for s in symbols:
+            key = key << 1 | s
+        return key
+    return bytes(symbols)
+
+
+def _symbols_of(space: Space, key: int | bytes) -> tuple[int, ...]:
+    """The symbols of the word with this key, coordinate 0 first."""
+    if space.q == 2:
+        n = space.n
+        return tuple(key >> (n - 1 - i) & 1 for i in range(n))
+    return tuple(key)
+
+
+def _popcount_view(space: Space, keys: Sequence[int | bytes]) -> tuple[Sequence[int], int]:
+    """Ints for the keys, and a shift, such that ``(a ^ b).bit_count() >> shift``
+    is the distance of two of the words.  Binary keys are their own view;
+    a q-ary key is spread one-hot over q bits per symbol, so two words
+    differ in two bits per differing symbol."""
+    if space.q == 2:
+        return keys, 0
+    q = space.q
+    return [sum(1 << (q * i + s) for i, s in enumerate(k)) for k in keys], 1
 
 
 def _add_keys(q: int, a: int | bytes, b: int | bytes) -> int | bytes:
@@ -210,9 +231,7 @@ def hamming_distance(x: Word, y: Word) -> int:
 
 def weight(x: Word) -> int:
     """Number of nonzero symbols."""
-    if x.space.q == 2:
-        return x.key.bit_count()
-    return sum(s != 0 for s in x.key)
+    return sum(s != 0 for s in x.symbols)
 
 
 def antipode(x: Word) -> Word:
@@ -234,6 +253,12 @@ def _check_lambda(lam: int) -> None:
         raise ValueError(f"lambda must be a positive int, got {lam!r}")
 
 
+def _ball_size(n: int, q: int, r: int) -> int:
+    """|B_r| in H(n, q), free of the length and alphabet limits of ``Space``."""
+    _check_radius(n, r)
+    return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
+
+
 def ball(center: Word, r: int) -> Iterator[Word]:
     """All words at distance <= r from the center, each exactly once."""
     space = center.space
@@ -245,12 +270,25 @@ def _ball_keys(space: Space, key: int | bytes, r: int) -> Iterator[int | bytes]:
     """Keys of the words at distance <= r from ``key``, each exactly once:
     by distance, then by changed positions, then by symbol shifts."""
     n, q = space.n, space.q
-    if q == 2:
-        bits = [1 << (n - 1 - i) for i in range(n)]
-        for k in range(r + 1):
-            for flips in combinations(bits, k):
-                yield key ^ sum(flips)
-        return
+    if q == 2:  # at most 2,081 masks up to radius 2; larger balls are walked lazily
+        return map(key.__xor__, _flip_masks(n, r) if r <= 2 else _flip_walk(n, r))
+    return _qary_ball_keys(n, q, key, r)
+
+
+@lru_cache(maxsize=32)
+def _flip_masks(n: int, r: int) -> tuple[int, ...]:
+    return tuple(_flip_walk(n, r))
+
+
+def _flip_walk(n: int, r: int) -> Iterator[int]:
+    """The XOR masks of a binary radius-r ball, in ``_ball_keys`` order."""
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    for k in range(r + 1):
+        for flips in combinations(bits, k):
+            yield sum(flips)
+
+
+def _qary_ball_keys(n: int, q: int, key: bytes, r: int) -> Iterator[bytes]:
     for k in range(r + 1):
         for positions in combinations(range(n), k):
             for deltas in product(range(1, q), repeat=k):
@@ -336,7 +374,8 @@ class Code:
         return _code(space, keys)
 
     def translate(self, t: Word) -> "Code":
-        return Code(self.space, (w + t for w in self.words))
+        _check_same_space(self, t)
+        return _code(self.space, (_add_keys(self.space.q, k, t.key) for k in self.keys))
 
 
 def _code(space: Space, keys: Iterable[int | bytes]) -> Code:

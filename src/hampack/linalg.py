@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _word
+from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _key_of, _word
 
 GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
@@ -141,10 +141,16 @@ def coset_union(group_code: Code, reps: Sequence[Word]) -> Code:
         subgroup += grown
     for r in reps:
         _check_same_space(group_code, r)
-    union = {_add_keys(q, k, r.key) for r in reps for k in members}
+    return _coset_union(group_code, [r.key for r in reps])
+
+
+def _coset_union(group_code: Code, reps: Sequence[int | bytes]) -> Code:
+    """The union of ``coset_union``, from representative keys of its space."""
+    q, members = group_code.space.q, set(group_code.keys)
+    union = {_add_keys(q, k, r) for r in reps for k in members}
     if len(union) != len(reps) * len(members):
         warnings.warn("coset representatives are not in distinct cosets; duplicates collapsed")
-    return _code(space, union)
+    return _code(group_code.space, union)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +211,17 @@ class MixedMatrix:
 
 def gray_map(w: MixedWord) -> Word:
     """Binary image of a mixed word: Gray pairs of the Z4 block, then the Z2 block."""
-    bits: list[int] = []
-    for s in w.z4:
-        bits.extend(GRAY[s])
-    bits.extend(w.z2)
-    return Word.from_symbols(bits, 2)
+    return gray_image([w]).words[0]
 
 
 def gray_image(words: Iterable[MixedWord]) -> Code:
-    ws = [gray_map(w) for w in words]
-    if not ws:
+    images = [[b for s in w.z4 for b in GRAY[s]] + list(w.z2) for w in words]
+    if not images:
         raise ValueError("cannot take the Gray image of an empty set")
-    return Code(ws[0].space, ws)
+    space = Space(len(images[0]), 2)
+    if any(len(bits) != space.n for bits in images):
+        raise ValueError("Gray images of different lengths do not share a space")
+    return _code(space, [_key_of(space, bits) for bits in images])
 
 
 def _closure(seeds: Iterable, gens: Sequence, act: Callable) -> set:
@@ -289,27 +294,27 @@ class PropelinearMap:
         if len(other.permutation) != n:
             raise ValueError("length mismatch in composition")
         perm = tuple(self.permutation[other.permutation[i]] for i in range(n))
-        return PropelinearMap(self.translation + _permute(self.permutation, other.translation), perm)
+        return PropelinearMap(apply_propelinear(self, other.translation), perm)
 
     def __mul__(self, other: "PropelinearMap") -> "PropelinearMap":
         return self.compose(other)
 
 
-def _permute(perm: tuple[int, ...], x: Word) -> Word:
-    n = x.space.n
-    key = x.key
-    out = 0
+def _apply(m: PropelinearMap, key: int) -> int:
+    """The key of m(x), from the key of the binary word x."""
+    perm, n = m.permutation, len(m.permutation)
+    out = m.translation.key
     for i in range(n):
         if (key >> (n - 1 - i)) & 1:
-            out |= 1 << (n - 1 - perm[i])
-    return _word(x.space, out)
+            out ^= 1 << (n - 1 - perm[i])
+    return out
 
 
 def apply_propelinear(m: PropelinearMap, x: Word) -> Word:
     """translation + pi(x); an isometry of H(n, 2)."""
     if x.space is not m.translation.space and x.space != m.translation.space:
         raise ValueError("length mismatch between map and word")
-    return m.translation + _permute(m.permutation, x)
+    return _word(x.space, _apply(m, x.key))
 
 
 def group_closure(gens: Sequence[PropelinearMap]) -> list[PropelinearMap]:
@@ -322,4 +327,6 @@ def group_closure(gens: Sequence[PropelinearMap]) -> list[PropelinearMap]:
 
 def orbit(gens: Sequence[PropelinearMap], seed: Word) -> Code:
     """Orbit of a word under the group generated by the maps."""
-    return _code(seed.space, (w.key for w in _closure([seed], gens, apply_propelinear)))
+    if any(g.translation.space != seed.space for g in gens):
+        raise ValueError("length mismatch between map and word")
+    return _code(seed.space, _closure([seed.key], gens, _apply))

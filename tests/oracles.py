@@ -1,6 +1,7 @@
 """Independent readings that the tests hold the library's answers against.
 
-They read a code's space and keys, and share no code with ``hampack``.
+They read a code's space and keys, or only its length, and share no
+code with ``hampack``.
 """
 
 from collections import Counter
@@ -54,3 +55,57 @@ def radius1_counts(t_set, vertices) -> list:
                     total += words[v[:i] + (s,) + v[i + 1:]]
         counts.append(total)
     return counts
+
+
+def least_plain_unitrades(n: int) -> tuple[int, int]:
+    """The least sizes of a nonempty plain 1-perfect unitrade of H(n, 2),
+    and of a bipartite one, by exhaustive search.
+
+    A unitrade stays one under translation, so it may hold the zero word.
+    From {0}, the search adds, in every possible way, a missing word to a
+    radius-1 ball that holds exactly one word, and drops any set with a
+    ball of three or more; every unitrade containing 0 is reached, or a
+    smaller unitrade inside it is.  A unitrade inside a bipartite one is
+    bipartite (its conflict graph is an induced subgraph), so the least
+    of either kind is among the sets the search stops at.
+    """
+    balls = [[v] + [v ^ (1 << i) for i in range(n)] for v in range(1 << n)]
+    least, least_bipartite = None, None
+    seen = set()
+    stack = [frozenset([0])]
+    while stack:
+        t_set = stack.pop()
+        if t_set in seen or (least_bipartite is not None and len(t_set) >= least_bipartite):
+            continue
+        seen.add(t_set)
+        counts = [sum(u in t_set for u in ball) for ball in balls]
+        if max(counts) > 2:
+            continue
+        deficient = next((b for b, c in zip(balls, counts) if c == 1), None)
+        if deficient is None:
+            if least is None or len(t_set) < least:
+                least = len(t_set)
+            if _conflict_graph_bipartite(t_set):
+                least_bipartite = len(t_set)
+            continue
+        stack.extend(t_set | {u} for u in deficient if u not in t_set)
+    return least, least_bipartite
+
+
+def _conflict_graph_bipartite(t_set) -> bool:
+    """Whether the graph joining members at distance 1 or 2 is 2-colourable."""
+    color = {}
+    for start in t_set:
+        if start in color:
+            continue
+        color[start], todo = 0, [start]
+        while todo:
+            u = todo.pop()
+            for v in t_set:
+                if v != u and (u ^ v).bit_count() <= 2:
+                    if v not in color:
+                        color[v] = 1 - color[u]
+                        todo.append(v)
+                    elif color[v] == color[u]:
+                        return False
+    return True

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hampack.analysis import is_bipartite_unitrade
 from hampack.bounds import (
     SpectrumBoundInput,
     forced_distance_profile,
@@ -15,6 +16,8 @@ from hampack.bounds import (
     sphere_packing_bound,
     unitrade_min_cardinality,
 )
+from hampack.constructions import diagonal_unitrade, puncture_last
+from oracles import least_plain_unitrades
 
 
 class TestSpherePacking:
@@ -180,11 +183,19 @@ class TestUnitradeMinCardinality:
         assert unitrade_min_cardinality(4, extended=True) == 4
         assert unitrade_min_cardinality(6, extended=True) == 8
         assert unitrade_min_cardinality(10, extended=True) == 32
-        assert unitrade_min_cardinality(10, extended=True, bipartite=True) == 32
 
     def test_plain(self):
         assert unitrade_min_cardinality(9, extended=False) == 32
-        assert unitrade_min_cardinality(9, extended=False, bipartite=True) == 16
+        for n in (3, 5, 7, 9):  # attained by the punctured diagonal, a bipartite unitrade
+            t_set = puncture_last(diagonal_unitrade(n + 1))
+            assert len(t_set) == unitrade_min_cardinality(n, extended=False)
+            assert is_bipartite_unitrade(t_set, extended=False).bipartite
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_plain_minimum_by_brute_force(self, n):
+        # the least bipartite plain unitrade is no smaller than the least one
+        least, least_bipartite = least_plain_unitrades(n)
+        assert least == least_bipartite == unitrade_min_cardinality(n, extended=False)
 
     def test_parity_rejection(self):
         with pytest.raises(ValueError):

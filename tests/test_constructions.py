@@ -303,6 +303,16 @@ class TestExtendPunctureShorten:
         with pytest.raises(ValueError, match="empty"):
             con.majority_shorten(Code(Space(3, 3), []), 0)
 
+    def test_shorten_refuses_non_int_coordinates_and_symbols(self):
+        code = con.mds_code(3, 3)
+        for bad in (1.0, True, False, "1", None):
+            with pytest.raises(ValueError, match=f"coordinate {bad!r} out of range"):
+                con.shorten(code, bad, 0)
+            with pytest.raises(ValueError, match=f"symbol {bad!r} out of range"):
+                con.shorten(code, 0, bad)
+            with pytest.raises(ValueError, match=f"coordinate {bad!r} out of range"):
+                con.majority_shorten(code, bad)
+
     def test_qary_puncture(self):
         code = con.mds_code(3, 3)
         assert len(con.puncture_last(code).support()) == 9

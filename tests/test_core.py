@@ -1,6 +1,7 @@
 """Words, codes, balls, coverage, and the text format."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -71,6 +72,10 @@ class TestWord:
             Word.from_string("012", 2)
         with pytest.raises(ValueError):
             Word.from_string("09", 3)
+        for q in (2, 3):
+            for bad in (q, -1, 1.0, True, "1", None):
+                with pytest.raises(ValueError, match=f"symbols must be ints in 0..{q - 1}"):
+                    Word.from_symbols((0, bad), q)
 
     def test_lexicographic_order_matches_strings(self):
         rng = random.Random(1)
@@ -157,6 +162,26 @@ class TestBall:
                     words = list(ball(center, r))
                     assert len(words) == len({w.key for w in words})
                     assert len(words) == space.ball_size(r)
+
+    def test_order_is_by_distance_then_positions_then_shifts(self):
+        rng = random.Random(6)
+        for n in range(1, 7):
+            for q in (2, 3, 4):
+                center = [rng.randrange(q) for _ in range(n)]
+                for r in range(n + 1):
+                    expect = []
+                    for k in range(r + 1):
+                        for positions in combinations(range(n), k):
+                            for deltas in product(range(1, q), repeat=k):
+                                s = center[:]
+                                for i, d in zip(positions, deltas):
+                                    s[i] = (s[i] + d) % q
+                                expect.append(tuple(s))
+                    assert [w.symbols for w in ball(Word.from_symbols(center, q), r)] == expect
+
+    def test_large_binary_ball_is_walked_lazily(self):
+        words = ball(Space(64, 2).zero(), 64)  # 2^64 words
+        assert next(words).key == 0 and next(words).key == 1 << 63
 
     def test_radius_too_large(self):
         with pytest.raises(ValueError):

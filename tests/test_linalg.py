@@ -17,6 +17,7 @@ from hampack.linalg import (
     coset_union,
     gf2_rank,
     gf2_span,
+    gray_image,
     gray_map,
     group_closure,
     orbit,
@@ -165,6 +166,12 @@ class TestGrayMap:
                 seen.add(img.key)
         assert len(seen) == 4 * 16
 
+    def test_image_is_the_code_of_the_word_images(self):
+        span = z4_module_span(embedded_data().gen3)
+        assert gray_image(span) == Code(Space(10, 2), [gray_map(m) for m in span])
+        with pytest.raises(ValueError, match="different lengths"):
+            gray_image([MixedWord((0,), (1,)), MixedWord((0, 1), (1,))])
+
     def test_gray_distance_is_lee_like(self):
         # Gray images of Z4 symbols: pairwise binary distance equals the
         # circular distance on 0-1-2-3, so the image of a Z4-linear span
@@ -244,6 +251,17 @@ class TestPropelinear:
         data = embedded_data()
         sub = list(data.xi_generators[1:])
         assert len(orbit(sub, self.space().zero())) == 16
+
+    def test_orbit_is_the_group_applied_to_the_seed(self):
+        data = embedded_data()
+        for gens in (list(data.xi_generators), list(data.xi_generators[1:])):
+            group = group_closure(gens)
+            for seed in data.orbit_seeds:
+                assert set(orbit(gens, seed).keys) == {m(seed).key for m in group}
+
+    def test_orbit_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            orbit(list(embedded_data().xi_generators), bword("000"))
 
     def test_bad_permutation(self):
         with pytest.raises(ValueError):

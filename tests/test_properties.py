@@ -1,7 +1,7 @@
-"""Property tests of the key-level text I/O, of the agreement of every
-way to build a code, of the coverage counts against brute force, of
-verdicts under random isometries, and of the extended-unitrade ball count
-against the halved-cube reading.
+"""Property tests of the key encoding, of the key-level text I/O, of the
+agreement of every way to build a code, of the coverage counts against
+brute force, of verdicts under random isometries, and of the
+extended-unitrade ball count against the halved-cube reading.
 
 They need ``hypothesis`` (the ``dev`` extra) and are skipped without it.
 """
@@ -28,6 +28,9 @@ from hampack.core import (  # noqa: E402
     Space,
     Word,
     _code,
+    _key_of,
+    _popcount_view,
+    _symbols_of,
     _word,
     coverage_multiplicity,
     format_code,
@@ -69,6 +72,25 @@ def test_unchecked_words_equal_checked_words(drawn):
         assert fast == Word(space, w.key) == w
         assert hash(fast) == hash(w) and str(fast) == str(w) and fast.symbols == w.symbols
     assert _code(space, [w.key for w in checked]) == Code(space, checked)
+
+
+@hypothesis.given(multisets())
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_key_encoding_contract(drawn):
+    """What the package may assume of a key, whatever its type: the codec
+    round-trips, key order is lexicographic order, and the popcount view
+    reads distances (its popcounts are doubled for q > 2)."""
+    space, words = drawn
+    symbols = [tuple(s) for s in words]
+    keys = [_key_of(space, s) for s in symbols]
+    assert [_symbols_of(space, k) for k in keys] == symbols
+    view, shift = _popcount_view(space, keys)
+    assert shift == (space.q > 2)
+    for i, (a, ka) in enumerate(zip(symbols, keys)):
+        for j in range(i, len(keys)):
+            b, kb = symbols[j], keys[j]
+            assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+            assert (view[i] ^ view[j]).bit_count() == sum(x != y for x, y in zip(a, b)) << shift
 
 
 @hypothesis.given(multisets(), st.randoms(use_true_random=False))
