@@ -9,11 +9,12 @@ The central objects being verified:
   * extended 1-perfect unitrades: constant-parity binary sets where the
     balls centered at opposite-parity words meet the set in 0 or 2.
 
-Each property is read once, by exact ball counts: over the balls
-around the codewords, or over the whole space when those balls would
-cover half of it or more.  Both unitrade readings count radius-1 balls
-through ``_coverage_counts_union``; the extended one reads the counts
-at the centres of opposite parity.  For n >= 5 the extended property
+Each property is read once, by exact ball counts over the balls around
+the codewords (``_coverage_counts_union``); a binary ball is the key
+XORed with cached flip masks.  Only a dense q-ary packing (q > 2) is
+still counted over the whole space.  Both unitrade readings count
+radius-1 balls; the extended one reads the counts at the centres of
+opposite parity.  For n >= 5 the extended property
 of a set without repeated words has an equivalent reading inside the
 halved n-cube (degree exactly n/2, no triangles), which the tests use
 as an oracle.
@@ -22,17 +23,20 @@ The bipartition and the primary components of a unitrade come from one
 depth-first walk of its conflict graph (words sharing a radius-1 ball).
 
 All distributions (distance distribution, MacWilliams transform) are
-computed in exact rational arithmetic, so nonnegativity of the dual
-distribution is a hard check rather than a tolerance question.
+computed from integer pair counts and returned as exact rationals, so
+nonnegativity of the dual distribution is a hard check rather than a
+tolerance question.
 
 Everything here is pure and read-only; inputs are immutable codes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import (
@@ -62,11 +66,7 @@ class PackingReport:
 
 def _coverage_counts_union(code: Code, r: int) -> dict:
     """Coverage counts over the union of balls around codewords."""
-    counts: dict = {}
-    for c in code.keys:
-        for k in _ball_keys(code.space, c, r):
-            counts[k] = counts.get(k, 0) + 1
-    return counts
+    return Counter(k for c in code.keys for k in _ball_keys(code.space, c, r))
 
 
 def _coverage_counts_full(code: Code, r: int) -> dict:
@@ -82,10 +82,14 @@ def verify_packing(code: Code, lam: int, r: int) -> PackingReport:
     """Exact maximum coverage over all vertices of the space.
 
     Vertices covering at least one codeword all lie in some ball around
-    a codeword, so scanning the union of those balls finds the true
-    maximum whenever the code is nonempty.  A dense code, whose balls
-    hold at least half the space (2·|C|·|B_r| >= q^n), is counted by the
-    full-space scan instead; both kernels give the same counts.
+    a codeword, so counting the union of those balls finds the true
+    maximum whenever the code is nonempty.  Every binary code is counted
+    that way, by |C|·|B_r| XORs of keys with cached flip masks.  A q-ary
+    code whose balls hold half the space or more (2·|C|·|B_r| >= q^n)
+    still takes the full-space scan, with the same counts; that rule
+    and the scan go once the benchmark measures the library's memory,
+    not the jobs it keeps (ROADMAP item 1).  The witness is the least
+    word with the maximum count.
     """
     _check_lambda(lam)
     space = code.space
@@ -93,11 +97,10 @@ def verify_packing(code: Code, lam: int, r: int) -> PackingReport:
     dups = tuple(code.duplicate_words())
     if len(code) == 0:
         return PackingReport(0, None, lam, True, dups)
-    use_union = 2 * len(code) * space.ball_size(r) < space.size
-    counts = _coverage_counts_union(code, r) if use_union else _coverage_counts_full(code, r)
+    scan_all = space.q > 2 and 2 * len(code) * space.ball_size(r) >= space.size
+    counts = _coverage_counts_full(code, r) if scan_all else _coverage_counts_union(code, r)
     max_cov = max(counts.values())
-    witness_key = min(k for k, v in counts.items() if v == max_cov)
-    witness = _word(space, witness_key)
+    witness = _word(space, min(k for k, v in counts.items() if v == max_cov))
     return PackingReport(max_cov, witness, lam, max_cov <= lam, dups)
 
 
@@ -118,11 +121,8 @@ class CheckResult:
 
 def is_unitrade(t_set: Code) -> CheckResult:
     """|B intersect T| in {0, 2} for every radius-1 ball B of H(n, q)."""
-    counts = _coverage_counts_union(t_set, 1)
-    bad = [k for k, v in counts.items() if v != 2]
-    if bad:
-        return CheckResult(False, _word(t_set.space, min(bad)))
-    return CheckResult(True, None)
+    bad = [k for k, v in _coverage_counts_union(t_set, 1).items() if v != 2]
+    return CheckResult(False, _word(t_set.space, min(bad))) if bad else CheckResult(True, None)
 
 
 def is_extended_unitrade(t_set: Code) -> CheckResult:
@@ -141,9 +141,7 @@ def is_extended_unitrade(t_set: Code) -> CheckResult:
         raise ValueError("mixed-parity input: not a candidate extended unitrade")
     counts = _coverage_counts_union(t_set, 1)
     bad = [k for k, v in counts.items() if v != 2 and k.bit_count() & 1 not in parity]
-    if bad:
-        return CheckResult(False, _word(t_set.space, min(bad)))
-    return CheckResult(True, None)
+    return CheckResult(False, _word(t_set.space, min(bad))) if bad else CheckResult(True, None)
 
 
 def is_antipodal(t_set: Code) -> bool:
@@ -174,14 +172,6 @@ class Bipartition:
         return self.bipartite
 
 
-def _distance_rows(space: Space, keys: Sequence[int | bytes], others: Sequence[int | bytes]):
-    """For each key, the list of its distances to the keys ``others``."""
-    keys, shift = _popcount_view(space, keys)
-    others, _ = _popcount_view(space, others)
-    for a in keys:
-        yield [(a ^ b).bit_count() >> shift for b in others]
-
-
 def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
     """counts[d]: the pairs i < j of ``keys`` at distance d, d = 0..n.
 
@@ -196,10 +186,20 @@ def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
 
 
 def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
-    """Neighbours j != i (increasing) of each word: distance 0 or 2, or 1 unless extended."""
-    near = {0, 2} if extended else {0, 1, 2}
-    return [[j for j, d in enumerate(row) if d in near and j != i]
-            for i, row in enumerate(_distance_rows(code.space, code.keys, code.keys))]
+    """Neighbours j != i (increasing) of each word: distance 0 or 2, or 1 unless extended.
+
+    One pass over the pairs i < j appends each qualifying pair to both
+    rows, so row j gets its i < j before its own turn adds the j' > j."""
+    keys, shift = _popcount_view(code.space, code.keys)
+    near = {0, 2 << shift} if extended else {0, 1 << shift, 2 << shift}
+    adj: list[list[int]] = [[] for _ in keys]
+    for i, a in enumerate(keys):
+        row = adj[i]
+        for j in range(i + 1, len(keys)):
+            if (a ^ keys[j]).bit_count() in near:
+                row.append(j)
+                adj[j].append(i)
+    return adj
 
 
 def _require_unitrade(t_set: Code, extended: bool) -> None:
@@ -396,18 +396,11 @@ class DistanceData:
 def weight_distribution(code: Code, x: Word) -> tuple[int, ...]:
     """A_i(x): codewords (with multiplicity) at distance i from x."""
     _check_same_space(code, x)
+    (x_view,), shift = _popcount_view(code.space, (x.key,))
     counts = [0] * (code.space.n + 1)
-    for d in next(_distance_rows(code.space, (x.key,), code.keys)):
-        counts[d] += 1
+    for b in _popcount_view(code.space, code.keys)[0]:
+        counts[(x_view ^ b).bit_count() >> shift] += 1
     return tuple(counts)
-
-
-def macwilliams_transform(b: tuple[Fraction, ...], n: int, size: int) -> tuple[Fraction, ...]:
-    """B'_k = (1/size) sum_i B_i K_k(i), in exact rationals."""
-    return tuple(
-        sum((Fraction(b[i]) * krawtchouk(n, k, i) for i in range(n + 1)), Fraction(0)) / size
-        for k in range(n + 1)
-    )
 
 
 def distance_data(code: Code, x: Optional[Word] = None) -> DistanceData:
@@ -422,8 +415,9 @@ def distance_data(code: Code, x: Optional[Word] = None) -> DistanceData:
     b_dist = tuple(Fraction(c, size) for c in ordered)
     a_x = weight_distribution(code, x) if x is not None else None
     if code.space.q == 2:
+        # B'_k = (1/size) sum_i B_i K_k(i) = sum_i ordered_i K_k(i) / size^2
         table = tuple(tuple(krawtchouk(n, k, i) for i in range(n + 1)) for k in range(n + 1))
-        b_dual = macwilliams_transform(b_dist, n, size)
+        b_dual = tuple(Fraction(sum(map(mul, ordered, row)), size * size) for row in table)
     else:
         table = None
         b_dual = None
@@ -454,7 +448,16 @@ def inner_radius(t_set: Code) -> int:
     """min over members of the max distance to other members."""
     if len(t_set) == 0:
         raise ValueError("inner radius of an empty set is undefined")
-    return min(map(max, _distance_rows(t_set.space, t_set.keys, t_set.keys)))
+    keys, shift = _popcount_view(t_set.space, t_set.keys)
+    far = [0] * len(keys)  # row maxima, from one pass over the pairs i < j
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            d = (a ^ keys[j]).bit_count()
+            if d > far[i]:
+                far[i] = d
+            if d > far[j]:
+                far[j] = d
+    return min(far) >> shift
 
 
 @dataclass(frozen=True)
@@ -484,21 +487,14 @@ def pair_profile(t_set: Code) -> PairProfile:
         raise ValueError("pair profiles are defined for q=2 only")
     if space.zero() not in t_set:
         raise ValueError("translate the unitrade so that it contains the all-zero word")
-    n = space.n
-    weights = [k.bit_count() for k in t_set.keys]
+    n, keys = space.n, t_set.keys
+    weights = [k.bit_count() for k in keys]
     w_counts = [weights.count(i) for i in range(n + 1)]
-    minus = [0] * (n + 1)
-    star = [0] * (n + 1)
-    plus = [0] * (n + 1)
-    rows = _distance_rows(space, t_set.keys, t_set.keys)
-    for wa, row in zip(weights, rows):
-        for wb, d in zip(weights, row):
-            if d != 2:
-                continue
-            if wb == wa + 2:
-                plus[wa] += 1
-            elif wb == wa - 2:
-                minus[wa] += 1
-            else:
-                star[wa] += 1
+    minus, star, plus = ([0] * (n + 1) for _ in range(3))
+    # the extended conflict rows hold the words at distance 0 or 2
+    for a, wa, row in zip(keys, weights, _conflict_adjacency(t_set, True)):
+        for j in row:
+            if keys[j] != a:  # a repeated word is at distance 0
+                step = weights[j] - wa
+                (plus if step == 2 else minus if step == -2 else star)[wa] += 1
     return PairProfile(n, len(t_set), tuple(w_counts), tuple(minus), tuple(star), tuple(plus))

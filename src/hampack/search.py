@@ -227,11 +227,12 @@ def canonical_form(t_set: Code) -> Code:
     return _code(t_set.space, _canonical_keys_cached(keys, t_set.space.n))
 
 
-def _difference_rank(t_set: Code) -> int:
+@lru_cache(maxsize=256)
+def _difference_rank(keys: tuple[int, ...], n: int) -> int:
     """GF(2) rank of the difference set {c + c0}: the dimension of the
-    set's affine span, which every isometry of H(n, 2) preserves."""
-    keys = t_set.keys
-    return gf2_rank(_code(t_set.space, [k ^ keys[0] for k in keys])) if keys else 0
+    set's affine span, which every isometry of H(n, 2) preserves.  It is
+    cached beside the forms, so a repeated query runs no elimination."""
+    return gf2_rank(_code(Space(n, 2), [k ^ keys[0] for k in keys])) if keys else 0
 
 
 def are_equivalent(a: Code, b: Code) -> bool:
@@ -253,7 +254,7 @@ def are_equivalent(a: Code, b: Code) -> bool:
         return False
     if _distance_counts(a.space, a.keys) != _distance_counts(b.space, b.keys):
         return False
-    if _difference_rank(a) != _difference_rank(b):
+    if _difference_rank(a.keys, a.space.n) != _difference_rank(b.keys, b.space.n):
         return False
     return _canonical_keys_cached(a.keys, a.space.n) == _canonical_keys_cached(b.keys, b.space.n)
 

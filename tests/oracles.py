@@ -5,6 +5,7 @@ code with ``hampack``.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -55,6 +56,25 @@ def radius1_counts(t_set, vertices) -> list:
                     total += words[v[:i] + (s,) + v[i + 1:]]
         counts.append(total)
     return counts
+
+
+def krawtchouk_table(n: int) -> list[list[int]]:
+    """K[k][i], the binary Krawtchouk numbers as character sums: the sum
+    of (-1)^(u·v) over the 2^n words v of weight k, for a word u of
+    weight i."""
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        u = (1 << i) - 1
+        for v in range(1 << n):
+            table[v.bit_count()][i] += -1 if (u & v).bit_count() & 1 else 1
+    return table
+
+
+def macwilliams_transform(b, n: int, size: int) -> tuple:
+    """B'_k = (1/size) sum_i B_i K_k(i), in exact rationals."""
+    table = krawtchouk_table(n)
+    return tuple(sum((Fraction(b[i]) * table[k][i] for i in range(n + 1)), Fraction(0)) / size
+                 for k in range(n + 1))
 
 
 def least_plain_unitrades(n: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Packing verification, unitrade predicates, distributions, pair profiles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from hampack.analysis import (
     is_extended_unitrade,
     is_unitrade,
     krawtchouk,
-    macwilliams_transform,
     oa_strength1_check,
     pair_profile,
     primary_components,
@@ -27,9 +27,9 @@ from hampack.analysis import (
     verify_packing,
     weight_distribution,
 )
-from hampack.core import Code, Space, Word, hamming_distance, weight
+from hampack.core import Code, Space, Word, coverage_multiplicity, hamming_distance, weight
 from hampack.search import SearchConfig, classify_extended_unitrades
-from oracles import halved_cube_reading
+from oracles import halved_cube_reading, krawtchouk_table, macwilliams_transform
 
 
 def bword(s: str) -> Word:
@@ -99,6 +99,31 @@ class TestVerifyPacking:
         report = verify_packing(code, 1, 1)
         assert report.max_coverage == 2
         assert [str(w) for w in report.duplicate_words] == ["000"]
+
+    def test_dense_binary_codes_match_brute_force(self, all_pairs):
+        # codes whose balls hold half the space or more: the 96-word C4
+        # cells, their length-9 punctures, L*(10) and D8, each as built,
+        # with one word moved and with one word repeated
+        cells = [c4 for _, c4 in all_pairs.values()]
+        sources = cells + [constructions.puncture_last(c4) for c4 in cells]
+        sources += [constructions.l_star(10), constructions.diagonal_unitrade(8)]
+        rng = random.Random(24)
+        codes = []
+        for code in sources:
+            keys, n = list(code.keys), code.space.n
+            i = rng.randrange(len(keys))
+            moved = keys[:i] + [keys[i] ^ 1 << rng.randrange(n)] + keys[i + 1:]
+            codes += [code, Code.from_bits(code.space, moved), Code.from_bits(code.space, keys + [keys[i]])]
+        for code in codes:
+            n = code.space.n
+            assert 2 * len(code) * (n + 1) >= 1 << n
+            counts = [(coverage_multiplicity(code, v, 1), v) for v in code.space]
+            top = max(m for m, _ in counts)
+            witness = next(v for m, v in counts if m == top)
+            repeated = tuple(w for w, m in Counter(code.words).items() if m > 1)
+            report = verify_packing(code, 2, 1)
+            assert (report.max_coverage, report.witness, report.duplicate_words) == (top, witness, repeated)
+            assert report.is_lambda_fold == (top <= 2)
 
 
 def _syndrome7(v: int) -> int:
@@ -578,6 +603,19 @@ class TestKeyKernelsAgainstReferences:
                     rebuilt.add(tuple(s))
             assert rebuilt == symbols
         assert kinds.count("factorization") == 4
+
+    def test_dual_distribution_written_out(self, reference_samples):
+        # B'_k = sum_i B_i K_k(i) / |C|, with B from all ordered pairs and
+        # K from character sums over the whole space
+        rng = random.Random(33)
+        codes = [code for group in reference_samples for code in group if code.space.q == 2]
+        for _ in range(50):
+            code = random_code(rng, rng.randrange(1, 10), rng.randrange(1, 20))
+            codes.append(Code(code.space, list(code.words) + list(code.words[:rng.randrange(3)])))
+        for code in codes:
+            n, b, table = code.space.n, ref_b(code), krawtchouk_table(code.space.n)
+            expected = tuple(sum(b[i] * table[k][i] for i in range(n + 1)) / len(code) for k in range(n + 1))
+            assert distance_data(code).B_dual == expected
 
     def test_weight_distribution_space_check(self):
         code = Code.from_strings(["000", "011"], 2)

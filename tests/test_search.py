@@ -298,7 +298,8 @@ class TestAreEquivalent:
                 pairs += 1
                 equivalent += form_a == form_b
                 if form_a != form_b and _distance_counts(a.space, a.keys) == _distance_counts(b.space, b.keys):
-                    same_profile_split[_difference_rank(a) != _difference_rank(b)] += 1
+                    n = a.space.n
+                    same_profile_split[_difference_rank(a.keys, n) != _difference_rank(b.keys, n)] += 1
         assert pairs > 2000 and 300 < equivalent < pairs
         assert min(same_profile_split.values()) > 0
 
@@ -308,11 +309,11 @@ class TestAreEquivalent:
         cases += [t for pair in all_pairs.values() for t in pair]  # C0 and C4 cells
         cases += [c.representative for c in classify_extended_unitrades(SearchConfig(n=8))]
         for t in cases:
-            rank = _difference_rank(t)
+            rank = _difference_rank(t.keys, t.space.n)
             assert 2 ** rank == len(span([k ^ t.keys[0] for k in t.keys]))
             for _ in range(5):
-                assert _difference_rank(random_isometry(rng, t)) == rank
-        assert [_difference_rank(c0) for c0, _ in all_pairs.values()] == [5, 6, 7]
+                assert _difference_rank(random_isometry(rng, t).keys, t.space.n) == rank
+        assert [_difference_rank(c0.keys, c0.space.n) for c0, _ in all_pairs.values()] == [5, 6, 7]
 
     def test_rank_rejects_before_canonical_search(self, all_pairs):
         # the three 32-word classes of length 8, and the three C0 codes,
@@ -324,12 +325,25 @@ class TestAreEquivalent:
             images = [random_isometry(rng, t) for t in family]
             assert len(images) == 3
             assert len({tuple(_distance_counts(t.space, t.keys)) for t in images}) == 1
-            assert len({_difference_rank(t) for t in images}) == 3
+            assert len({_difference_rank(t.keys, t.space.n) for t in images}) == 3
             before = search._canonical_keys_cached.cache_info()
             for a, b in permutations(images, 2):
                 assert not are_equivalent(a, b)
             after = search._canonical_keys_cached.cache_info()
             assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_cached_repeat_runs_no_rank_elimination(self, monkeypatch):
+        calls = []
+        rank = search.gf2_rank
+        monkeypatch.setattr(search, "gf2_rank", lambda code: calls.append(code) or rank(code))
+        search._difference_rank.cache_clear()
+        t = con.l_star(8)
+        image = random_isometry(random.Random(46), t)
+        assert are_equivalent(t, image)
+        assert len(calls) == 2
+        for a, b in ((t, image), (image, t)):
+            assert are_equivalent(a, b)
+        assert len(calls) == 2
 
 
 class TestClassifySmall:
