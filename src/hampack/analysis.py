@@ -19,8 +19,11 @@ of a set without repeated words has an equivalent reading inside the
 halved n-cube (degree exactly n/2, no triangles), which the tests use
 as an oracle.
 
-The bipartition and the primary components of a unitrade come from one
-depth-first walk of its conflict graph (words sharing a radius-1 ball).
+The structure answers of a unitrade read one checked conflict graph
+(words at distance <= 2, sharing a radius-1 ball), built and walked once
+by ``_unitrade_graph``, which keeps the last set's.  The extended case
+needs no relation of its own: distances inside a constant-parity set
+are even, so distance <= 2 means distance 0 or 2 there.
 
 All distributions (distance distribution, MacWilliams transform) are
 computed from integer pair counts and returned as exact rationals, so
@@ -35,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul
 from typing import Optional, Sequence
@@ -185,13 +189,13 @@ def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
     return counts[::1 << shift]
 
 
-def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
-    """Neighbours j != i (increasing) of each word: distance 0 or 2, or 1 unless extended.
+def _conflict_adjacency(code: Code) -> list[list[int]]:
+    """Neighbours j != i (increasing) of each word: distance 0, 1 or 2.
 
     One pass over the pairs i < j appends each qualifying pair to both
     rows, so row j gets its i < j before its own turn adds the j' > j."""
     keys, shift = _popcount_view(code.space, code.keys)
-    near = {0, 2 << shift} if extended else {0, 1 << shift, 2 << shift}
+    near = {0, 1 << shift, 2 << shift}
     adj: list[list[int]] = [[] for _ in keys]
     for i, a in enumerate(keys):
         row = adj[i]
@@ -202,41 +206,11 @@ def _conflict_adjacency(code: Code, extended: bool) -> list[list[int]]:
     return adj
 
 
-def _require_unitrade(t_set: Code, extended: bool) -> None:
-    res = is_extended_unitrade(t_set) if extended else is_unitrade(t_set)
-    if not res.ok:
-        kind = "an extended" if extended else "a"
-        raise ValueError(f"input is not {kind} 1-perfect unitrade; witness ball center {res.witness}")
-
-
-def is_bipartite_unitrade(t_set: Code, extended: bool) -> Bipartition:
-    """Split a unitrade into two distance-3 (distance-4 if extended) codes.
-
-    The conflict graph joins words at distance <= 2 (exactly 2 in the
-    extended case, where all distances are even); a valid split is a
-    proper 2-coloring, and an odd cycle found by the walk refutes it.
-    """
-    _require_unitrade(t_set, extended)
-    return _bipartition(t_set, extended)
-
-
-def _bipartition(t_set: Code, extended: bool) -> Bipartition:
-    """The 2-coloring of ``is_bipartite_unitrade``, for a known unitrade."""
-    keys = t_set.keys
-    _, color, parent, clash = _conflict_walk(t_set, extended)
-    if clash is not None:
-        return Bipartition(None, tuple(_word(t_set.space, keys[i]) for i in _odd_cycle(*clash, parent)))
-    part0 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 0])
-    part1 = _code(t_set.space, [k for k, c in zip(keys, color) if c == 1])
-    return Bipartition((part0, part1), None)
-
-
-def _conflict_walk(t_set: Code, extended: bool):
-    """One depth-first walk of the conflict graph: the components (word
+def _conflict_walk(adj: list[list[int]]):
+    """One depth-first walk of a conflict graph: the components (word
     indices in discovery order), each word's colour and parent, and the
     first same-colour edge (None if there is none).  Parents are set
     once, so that edge closes the odd cycle an early-exit walk finds."""
-    adj = _conflict_adjacency(t_set, extended)
     color = [-1] * len(adj)
     parent = [-1] * len(adj)
     components: list[list[int]] = []
@@ -260,32 +234,54 @@ def _conflict_walk(t_set: Code, extended: bool):
     return components, color, parent, clash
 
 
+@lru_cache(maxsize=1)
+def _unitrade_graph(t_set: Code, extended: bool):
+    """The conflict rows of a checked unitrade, then the walk's components,
+    colours, parents and first clash; shared, so read-only.  A set that is
+    not a unitrade raises ``ValueError`` with a witness ball center."""
+    res = is_extended_unitrade(t_set) if extended else is_unitrade(t_set)
+    if not res.ok:
+        kind = "an extended" if extended else "a"
+        raise ValueError(f"input is not {kind} 1-perfect unitrade; witness ball center {res.witness}")
+    adj = _conflict_adjacency(t_set)
+    return (adj, *_conflict_walk(adj))
+
+
+def is_bipartite_unitrade(t_set: Code, extended: bool) -> Bipartition:
+    """Split a unitrade into two distance-3 (distance-4 if extended) codes.
+
+    The conflict graph joins words at distance <= 2 (0 or 2 in the
+    extended case, where all distances are even); a valid split is a
+    proper 2-coloring, and an odd cycle found by the walk refutes it.
+    """
+    _, _, color, parent, clash = _unitrade_graph(t_set, extended)
+    space, keys = t_set.space, t_set.keys
+    if clash is not None:
+        return Bipartition(None, tuple(_word(space, keys[i]) for i in _odd_cycle(*clash, parent)))
+    parts = (_code(space, [k for k, c in zip(keys, color) if c == side]) for side in (0, 1))
+    return Bipartition(tuple(parts), None)
+
+
 def _odd_cycle(u: int, v: int, parent: list[int]) -> list[int]:
     anc_u, anc_v = [u], [v]
-    seen = {u: 0}
-    x = u
-    while parent[x] != -1:
-        x = parent[x]
-        seen[x] = len(anc_u)
-        anc_u.append(x)
-    x = v
-    while x not in seen:
-        anc_v.append(parent[x])
-        x = parent[x]
-    return anc_u[: seen[x] + 1][::-1] + anc_v[:-1]
+    while parent[anc_u[-1]] != -1:
+        anc_u.append(parent[anc_u[-1]])
+    seen = {x: i for i, x in enumerate(anc_u)}
+    while anc_v[-1] not in seen:
+        anc_v.append(parent[anc_v[-1]])
+    return anc_u[: seen[anc_v[-1]] + 1][::-1] + anc_v[:-1]
 
 
 def primary_components(t_set: Code, extended: bool) -> list[Code]:
     """Partition into minimal sub-unitrades.
 
-    Two words sharing a radius-1 ball (distance <= 2; exactly 2 in the
+    Two words sharing a radius-1 ball (distance <= 2; 0 or 2 in the
     extended case) must stay together, so the minimal pieces are the
     connected components of that relation, each a unitrade itself.
     """
-    _require_unitrade(t_set, extended)
     keys = t_set.keys
     pieces = [_code(t_set.space, [keys[i] for i in members])
-              for members in _conflict_walk(t_set, extended)[0]]
+              for members in _unitrade_graph(t_set, extended)[1]]
     pieces.sort(key=lambda c: c.keys)
     return pieces
 
@@ -316,15 +312,9 @@ def _project(t_set: Code, coords: tuple[int, ...]) -> Code:
 
 def reducibility_certificate(t_set: Code) -> Reducibility:
     """Certify irreducibility or exhibit a concatenation factorization."""
-    _require_unitrade(t_set, extended=True)
+    adj = _unitrade_graph(t_set, True)[0]
     if len(t_set) == 0:
         raise ValueError("reducibility is undefined for the empty unitrade")
-    return _reducibility(t_set)
-
-
-def _reducibility(t_set: Code) -> Reducibility:
-    """The certificate of ``reducibility_certificate``, for a known nonempty
-    extended unitrade."""
     n = t_set.space.n
     parent = list(range(n))
 
@@ -335,7 +325,7 @@ def _reducibility(t_set: Code) -> Reducibility:
         return a
 
     keys = t_set.keys
-    for i, row in enumerate(_conflict_adjacency(t_set, True)):
+    for i, row in enumerate(adj):
         for j in row:
             diff = keys[i] ^ keys[j]
             if j > i and diff:  # diff == 0: a repeated word, at distance 0
@@ -481,18 +471,18 @@ class PairProfile:
 
 
 def pair_profile(t_set: Code) -> PairProfile:
-    """Distance-2 pair counts by weight; requires the all-zero word present."""
+    """Distance-2 pair counts by weight of an extended unitrade holding the zero word."""
     space = t_set.space
     if space.q != 2:
         raise ValueError("pair profiles are defined for q=2 only")
     if space.zero() not in t_set:
         raise ValueError("translate the unitrade so that it contains the all-zero word")
+    adj = _unitrade_graph(t_set, True)[0]  # rows: the words at distance 0 or 2
     n, keys = space.n, t_set.keys
     weights = [k.bit_count() for k in keys]
     w_counts = [weights.count(i) for i in range(n + 1)]
     minus, star, plus = ([0] * (n + 1) for _ in range(3))
-    # the extended conflict rows hold the words at distance 0 or 2
-    for a, wa, row in zip(keys, weights, _conflict_adjacency(t_set, True)):
+    for a, wa, row in zip(keys, weights, adj):
         for j in row:
             if keys[j] != a:  # a repeated word is at distance 0
                 step = weights[j] - wa

@@ -79,7 +79,9 @@ from math import comb
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Optional, Sequence
 
-from .analysis import _bipartition, _distance_counts, _reducibility, is_antipodal, is_extended_unitrade
+from .analysis import (
+    _distance_counts, is_antipodal, is_bipartite_unitrade, is_extended_unitrade, reducibility_certificate,
+)
 from .bounds import lp_bound, sphere_packing_bound
 from .core import Code, Space, _check_lambda, _code
 from .linalg import gf2_rank
@@ -542,6 +544,8 @@ class SearchConfig:
             raise ValueError(f"supported lengths are even ints n in {_MIN_N}..{_MAX_N}")
         if type(self.threads) is not int or self.threads < 1:
             raise ValueError("threads must be a positive int")
+        if type(self.nonbipartite_only) is not bool or type(self.antipodal_only) is not bool:
+            raise ValueError("nonbipartite_only and antipodal_only must be bools")
         card = self.max_cardinality
         if card is not None and (type(card) is not int or card < 1):
             raise ValueError("max_cardinality must be None or a positive int")
@@ -848,7 +852,7 @@ def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
         if not sieve.is_new((sol,)):
             continue
         # bipartiteness is an isometry invariant: test it before the form
-        bip = _bipartition(_code(space, sol), extended=True).bipartite
+        bip = is_bipartite_unitrade(_code(space, sol), extended=True).bipartite
         if cfg.nonbipartite_only and bip:
             continue
         classes.setdefault(_canonical_search(sol, n)[0], bip)
@@ -859,7 +863,7 @@ def classify_extended_unitrades(cfg: SearchConfig) -> list[EquivalenceClass]:
         # the only run-time guard on n = 10 and 12 output: no tier-1 test enumerates them
         if not is_extended_unitrade(rep).ok:
             raise AssertionError("classification produced a non-unitrade representative")
-        red = _reducibility(rep)
+        red = reducibility_certificate(rep)
         result.append(
             EquivalenceClass(
                 representative=rep,

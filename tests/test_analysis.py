@@ -7,11 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from hampack import constructions
+from hampack import analysis, constructions
 from hampack.analysis import (
+    Bipartition,
     Reducibility,
-    _bipartition,
     _conflict_adjacency,
+    _conflict_walk,
+    _odd_cycle,
     average_distance,
     distance_data,
     inner_radius,
@@ -227,7 +229,7 @@ class TestBipartiteness:
 
     def test_odd_cycles_are_pinned(self):
         # the cycle closed by the first same-colour edge of the walk
-        cycles = {n: [str(w) for w in _bipartition(constructions.l_star(n), True).odd_cycle]
+        cycles = {n: [str(w) for w in is_bipartite_unitrade(constructions.l_star(n), True).odd_cycle]
                   for n in (6, 8, 10)}
         assert cycles == {
             6: ["000000", "100001", "110011", "110110", "000110"],
@@ -235,7 +237,7 @@ class TestBipartiteness:
             10: ["1111110011", "1111110110", "1111111100", "1111011000", "1111011011"],
         }
         reps = [c.representative for c in classify_extended_unitrades(SearchConfig(n=8)) if not c.bipartite]
-        assert [[str(w) for w in _bipartition(t, True).odd_cycle] for t in reps] == [
+        assert [[str(w) for w in is_bipartite_unitrade(t, True).odd_cycle] for t in reps] == [
             ["11000000", "11100100", "11100111", "10101111", "10111011", "11011011", "11000011"],
             ["11000000", "11100010", "11101110", "11001111", "11000101"],
         ]
@@ -256,6 +258,17 @@ class TestBipartiteness:
     def test_requires_unitrade(self):
         with pytest.raises(ValueError):
             is_bipartite_unitrade(Code.from_strings(["0000"], 2), extended=True)
+
+    def test_plain_and_extended_readings_are_kept_apart(self):
+        # the same set asked both ways: each reading runs its own check
+        plain = Code.from_strings(["000", "111", "100", "011"], 2)
+        assert is_bipartite_unitrade(plain, extended=False).bipartite
+        with pytest.raises(ValueError, match="mixed-parity"):
+            is_bipartite_unitrade(plain, extended=True)
+        lstar = constructions.l_star(6)
+        assert not is_bipartite_unitrade(lstar, extended=True).bipartite
+        with pytest.raises(ValueError, match="not a 1-perfect unitrade"):
+            is_bipartite_unitrade(lstar, extended=False)
 
     def test_bipartite_implies_antipodal(self):
         samples = [
@@ -329,6 +342,45 @@ class TestComponentsAndReducibility:
         parts = {len(p): p for p in cert.factors}
         assert {w.key for w in parts[10].words} == {w.key for w in constructions.l_star(6).words}
         assert {str(w) for w in parts[2].words} == {"10", "01"}
+
+
+class TestOneCheckedGraph:
+    def test_structure_calls_build_one_graph(self, monkeypatch, pair_z2z4):
+        calls = Counter()
+
+        def counted(name):
+            kernel = getattr(analysis, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in ("_coverage_counts_union", "_conflict_adjacency"):
+            monkeypatch.setattr(analysis, name, counted(name))
+        analysis._unitrade_graph.cache_clear()
+        cell = pair_z2z4[1]
+        assert len(cell) == 96 and is_extended_unitrade(cell).ok
+        is_bipartite_unitrade(cell, extended=True)
+        primary_components(cell, extended=True)
+        reducibility_certificate(cell)
+        # one ball count for the caller's check, one for the graph's
+        assert calls == {"_coverage_counts_union": 2, "_conflict_adjacency": 1}
+
+    def test_interleaved_sets_keep_their_own_answers(self, pair_z2z4):
+        calls = (lambda t: is_bipartite_unitrade(t, extended=True),
+                 lambda t: primary_components(t, extended=True),
+                 reducibility_certificate)
+        sets = (constructions.l_star(8), pair_z2z4[1])
+        fresh = {}
+        for t in sets:
+            for k, call in enumerate(calls):
+                analysis._unitrade_graph.cache_clear()
+                fresh[t, k] = call(t)
+        assert fresh[sets[0], 0] != fresh[sets[1], 0]
+        for k, call in enumerate(calls):
+            for t in sets + sets[::-1] + sets:
+                assert call(t) == fresh[t, k]
 
 
 class TestDistanceData:
@@ -407,6 +459,15 @@ class TestPairProfile:
     def test_requires_zero(self):
         with pytest.raises(ValueError):
             pair_profile(constructions.diagonal_unitrade(6).translate(bword("110000")))
+
+    def test_requires_extended_unitrade(self):
+        # the zero-word check comes first, then the unitrade check
+        with pytest.raises(ValueError, match="all-zero word"):
+            pair_profile(Code.from_strings(["1000", "1100"], 2))
+        with pytest.raises(ValueError, match="mixed-parity"):
+            pair_profile(Code.from_strings(["0000", "1000", "0100", "1100"], 2))
+        with pytest.raises(ValueError, match="not an extended 1-perfect unitrade"):
+            pair_profile(Code.from_strings(["0000", "1100"], 2))
 
     def test_diagonal_profile(self):
         n = 6
@@ -492,7 +553,16 @@ def ref_components(code, extended):
     return sorted(sorted(g) for g in groups.values())
 
 
-def check_bipartition(code, extended):
+def walk_bipartition(code):
+    """The split or odd cycle that the walk finds on any code's conflict graph."""
+    _, color, parent, clash = _conflict_walk(_conflict_adjacency(code))
+    if clash is not None:
+        return Bipartition(None, tuple(code.words[i] for i in _odd_cycle(*clash, parent)))
+    sides = ([w for w, c in zip(code.words, color) if c == side] for side in (0, 1))
+    return Bipartition(tuple(Code(code.space, s) for s in sides), None)
+
+
+def check_bipartition(code, extended, res):
     """The split is a proper 2-colouring of the conflict graph, or the
     cycle is an odd closed walk of conflicts; decided independently by
     a parity union-find."""
@@ -514,7 +584,6 @@ def check_bipartition(code, extended):
                 two_colourable &= pi != pj
             else:
                 parity_parent[ri] = (rj, pi ^ pj ^ 1)
-    res = _bipartition(code, extended)
     assert res.bipartite == two_colourable
     near = (0, 2) if extended else (0, 1, 2)
     if res.bipartite:
@@ -560,15 +629,16 @@ class TestKeyKernelsAgainstReferences:
 
     def test_conflicts_splits_and_components(self, reference_samples):
         plain, extended, others = reference_samples
-        for group, ext in ((plain, False), (extended, True), (others, False), (others, True)):
+        for group, ext in ((plain, False), (extended, True)):
             for code in group:
-                if code.space.q > 2 and ext:
-                    continue
-                assert _conflict_adjacency(code, ext) == ref_conflicts(code, ext)
-                check_bipartition(code, ext)
-                if group is not others:
-                    got = primary_components(code, ext)
-                    assert sorted([w.key for w in c.words] for c in got) == ref_components(code, ext)
+                # on a constant-parity set, distance <= 2 is distance 0 or 2
+                assert _conflict_adjacency(code) == ref_conflicts(code, ext)
+                check_bipartition(code, ext, is_bipartite_unitrade(code, ext))
+                got = primary_components(code, ext)
+                assert sorted([w.key for w in c.words] for c in got) == ref_components(code, ext)
+        for code in others:  # no unitrade: the unchecked graph and walk
+            assert _conflict_adjacency(code) == ref_conflicts(code, False)
+            check_bipartition(code, False, walk_bipartition(code))
 
     def test_pair_profiles(self, reference_samples):
         _, extended, _ = reference_samples

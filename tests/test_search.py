@@ -420,6 +420,14 @@ class TestClassifySmall:
             with pytest.raises(ValueError):
                 SearchConfig(n=n)
 
+    def test_filter_flags_must_be_bools(self):
+        # a truthy non-bool would switch its filter on and reach the checkpoint header
+        for flag in ("nonbipartite_only", "antipodal_only"):
+            for value in ("no", 0.0, 1, None):
+                with pytest.raises(ValueError, match="must be bools"):
+                    SearchConfig(n=8, **{flag: value})
+        assert SearchConfig(n=8, antipodal_only=True).filter_key()["antipodal_only"] is True
+
     @pytest.mark.parametrize("n", [6, 8])
     @pytest.mark.parametrize("antipodal", [False, True])
     def test_max_cardinality_matches_filtered_full_classification(self, n, antipodal):
