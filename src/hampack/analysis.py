@@ -19,16 +19,17 @@ of a set without repeated words has an equivalent reading inside the
 halved n-cube (degree exactly n/2, no triangles), which the tests use
 as an oracle.
 
-The structure answers of a unitrade read one checked conflict graph
-(words at distance <= 2, sharing a radius-1 ball), built and walked once
-by ``_unitrade_graph``, which keeps the last set's.  The extended case
-needs no relation of its own: distances inside a constant-parity set
-are even, so distance <= 2 means distance 0 or 2 there.
+The structure answers of a unitrade read one checked conflict graph,
+built and walked once by ``_unitrade_graph``, which keeps the last
+set's: the words that share a radius-1 ball in the walk that checks the
+set, which are the words at distance <= 2.  The extended case needs no
+relation of its own: distances inside a constant-parity set are even,
+so distance <= 2 means distance 0 or 2 there.
 
 All distributions (distance distribution, MacWilliams transform) are
 computed from integer pair counts and returned as exact rationals, so
 nonnegativity of the dual distribution is a hard check rather than a
-tolerance question.
+tolerance question; the Krawtchouk table is built once per n.
 
 Everything here is pure and read-only; inputs are immutable codes.
 """
@@ -123,10 +124,25 @@ class CheckResult:
         return self.ok
 
 
+def _verdict(t_set: Code, extended: bool, balls: Optional[dict] = None) -> CheckResult:
+    """Every radius-1 ball (centred off the set's parity, in the extended
+    reading) holds 0 or 2 words; ``balls``, the members of each ball from
+    the walk, saves counting them again."""
+    parity = None
+    if extended:
+        if t_set.space.q != 2:
+            raise ValueError("extended unitrades are defined for q=2 only")
+        parity = {k.bit_count() & 1 for k in t_set.keys}
+        if len(parity) > 1:
+            raise ValueError("mixed-parity input: not a candidate extended unitrade")
+    held = _coverage_counts_union(t_set, 1).items() if balls is None else zip(balls, map(len, balls.values()))
+    bad = [k for k, v in held if v != 2 and (parity is None or k.bit_count() & 1 not in parity)]
+    return CheckResult(False, _word(t_set.space, min(bad))) if bad else CheckResult(True, None)
+
+
 def is_unitrade(t_set: Code) -> CheckResult:
     """|B intersect T| in {0, 2} for every radius-1 ball B of H(n, q)."""
-    bad = [k for k, v in _coverage_counts_union(t_set, 1).items() if v != 2]
-    return CheckResult(False, _word(t_set.space, min(bad))) if bad else CheckResult(True, None)
+    return _verdict(t_set, False)
 
 
 def is_extended_unitrade(t_set: Code) -> CheckResult:
@@ -138,14 +154,7 @@ def is_extended_unitrade(t_set: Code) -> CheckResult:
     full scan is needed, and nothing cross-checks the count at run time.
     Balls count repeated words with multiplicity, as in ``is_unitrade``.
     """
-    if t_set.space.q != 2:
-        raise ValueError("extended unitrades are defined for q=2 only")
-    parity = {k.bit_count() & 1 for k in t_set.keys}
-    if len(parity) > 1:
-        raise ValueError("mixed-parity input: not a candidate extended unitrade")
-    counts = _coverage_counts_union(t_set, 1)
-    bad = [k for k, v in counts.items() if v != 2 and k.bit_count() & 1 not in parity]
-    return CheckResult(False, _word(t_set.space, min(bad))) if bad else CheckResult(True, None)
+    return _verdict(t_set, True)
 
 
 def is_antipodal(t_set: Code) -> bool:
@@ -189,21 +198,14 @@ def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
     return counts[::1 << shift]
 
 
-def _conflict_adjacency(code: Code) -> list[list[int]]:
-    """Neighbours j != i (increasing) of each word: distance 0, 1 or 2.
-
-    One pass over the pairs i < j appends each qualifying pair to both
-    rows, so row j gets its i < j before its own turn adds the j' > j."""
-    keys, shift = _popcount_view(code.space, code.keys)
-    near = {0, 1 << shift, 2 << shift}
-    adj: list[list[int]] = [[] for _ in keys]
-    for i, a in enumerate(keys):
-        row = adj[i]
-        for j in range(i + 1, len(keys)):
-            if (a ^ keys[j]).bit_count() in near:
-                row.append(j)
-                adj[j].append(i)
-    return adj
+def _ball_members(code: Code) -> dict:
+    """The radius-1 ball walk: the members (word indices, increasing) of
+    every ball that meets the code, by centre."""
+    space, balls = code.space, {}
+    for i, c in enumerate(code.keys):
+        for k in _ball_keys(space, c, 1):
+            balls.setdefault(k, []).append(i)
+    return balls
 
 
 def _conflict_walk(adj: list[list[int]]):
@@ -238,12 +240,23 @@ def _conflict_walk(adj: list[list[int]]):
 def _unitrade_graph(t_set: Code, extended: bool):
     """The conflict rows of a checked unitrade, then the walk's components,
     colours, parents and first clash; shared, so read-only.  A set that is
-    not a unitrade raises ``ValueError`` with a witness ball center."""
-    res = is_extended_unitrade(t_set) if extended else is_unitrade(t_set)
+    not a unitrade raises ``ValueError`` with a witness ball center.
+
+    One ball walk checks the set and gives the rows: two words are within
+    distance 2 exactly when they share a radius-1 ball, and no ball of a
+    checked unitrade holds more than two members."""
+    balls = _ball_members(t_set)
+    res = _verdict(t_set, extended, balls)
     if not res.ok:
         kind = "an extended" if extended else "a"
         raise ValueError(f"input is not {kind} 1-perfect unitrade; witness ball center {res.witness}")
-    adj = _conflict_adjacency(t_set)
+    rows: list[set[int]] = [set() for _ in t_set.keys]
+    for members in balls.values():
+        if len(members) == 2:
+            i, j = members
+            rows[i].add(j)
+            rows[j].add(i)
+    adj = [sorted(row) for row in rows]
     return (adj, *_conflict_walk(adj))
 
 
@@ -362,6 +375,12 @@ def krawtchouk(n: int, k: int, i: int) -> int:
     return sum((-1) ** j * comb(i, j) * comb(n - i, k - j) for j in range(k + 1))
 
 
+@lru_cache(maxsize=None)
+def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """K[k][i] for k, i = 0..n, built once per n."""
+    return tuple(tuple(krawtchouk(n, k, i) for i in range(n + 1)) for k in range(n + 1))
+
+
 @dataclass(frozen=True)
 class DistanceData:
     """Exact distance/weight distributions of one code.
@@ -406,7 +425,7 @@ def distance_data(code: Code, x: Optional[Word] = None) -> DistanceData:
     a_x = weight_distribution(code, x) if x is not None else None
     if code.space.q == 2:
         # B'_k = (1/size) sum_i B_i K_k(i) = sum_i ordered_i K_k(i) / size^2
-        table = tuple(tuple(krawtchouk(n, k, i) for i in range(n + 1)) for k in range(n + 1))
+        table = _krawtchouk_table(n)
         b_dual = tuple(Fraction(sum(map(mul, ordered, row)), size * size) for row in table)
     else:
         table = None

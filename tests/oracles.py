@@ -129,3 +129,63 @@ def _conflict_graph_bipartite(t_set) -> bool:
                     elif color[v] == color[u]:
                         return False
     return True
+
+
+def conflict_adjacency(code) -> list:
+    """The pair pass: for each word, the indices j != i (increasing) of
+    the words at distance 0, 1 or 2, from one sweep over the pairs i < j."""
+    keys = code.keys
+
+    def distance(a, b):
+        return (a ^ b).bit_count() if code.space.q == 2 else sum(x != y for x, y in zip(a, b))
+
+    adj = [[] for _ in keys]
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            if distance(a, keys[j]) <= 2:
+                adj[i].append(j)
+                adj[j].append(i)
+    return adj
+
+
+def distance_cells(code) -> list:
+    """The vertex layers of a binary code by exact distance, from a
+    breadth-first search one vertex at a time."""
+    n = code.space.n
+    dist = [-1] * (1 << n)
+    frontier = sorted(set(code.keys))
+    for k in frontier:
+        dist[k] = 0
+    layers = [frozenset(frontier)]
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for b in range(n):
+                other = k ^ (1 << b)
+                if dist[other] == -1:
+                    dist[other] = dist[k] + 1
+                    nxt.append(other)
+        if nxt:
+            layers.append(frozenset(nxt))
+        frontier = nxt
+    return layers
+
+
+def equitable_reading(n: int, cells) -> tuple:
+    """(matrix rows, None) for an equitable partition of H(n, 2) into
+    cells of keys, or (None, witness key): scanning the vertices in key
+    order, the first whose neighbour counts per cell differ from those
+    of the first vertex of its cell."""
+    idx = {k: ci for ci, cell in enumerate(cells) for k in cell}
+    assert sorted(idx) == list(range(1 << n)), "the cells must partition the space"
+    rows = [None] * len(cells)
+    for key in range(1 << n):
+        profile = [0] * len(cells)
+        for b in range(n):
+            profile[idx[key ^ (1 << b)]] += 1
+        ci = idx[key]
+        if rows[ci] is None:
+            rows[ci] = tuple(profile)
+        elif rows[ci] != tuple(profile):
+            return None, key
+    return tuple(rows), None

@@ -11,7 +11,6 @@ from hampack import analysis, constructions
 from hampack.analysis import (
     Bipartition,
     Reducibility,
-    _conflict_adjacency,
     _conflict_walk,
     _odd_cycle,
     average_distance,
@@ -31,7 +30,7 @@ from hampack.analysis import (
 )
 from hampack.core import Code, Space, Word, coverage_multiplicity, hamming_distance, weight
 from hampack.search import SearchConfig, classify_extended_unitrades
-from oracles import halved_cube_reading, krawtchouk_table, macwilliams_transform
+from oracles import conflict_adjacency, halved_cube_reading, krawtchouk_table, macwilliams_transform
 
 
 def bword(s: str) -> Word:
@@ -345,7 +344,8 @@ class TestComponentsAndReducibility:
 
 
 class TestOneCheckedGraph:
-    def test_structure_calls_build_one_graph(self, monkeypatch, pair_z2z4):
+    @staticmethod
+    def count_kernels(monkeypatch):
         calls = Counter()
 
         def counted(name):
@@ -356,16 +356,31 @@ class TestOneCheckedGraph:
                 return kernel(*args)
             return wrapper
 
-        for name in ("_coverage_counts_union", "_conflict_adjacency"):
+        for name in ("_coverage_counts_union", "_ball_members", "_distance_counts"):
             monkeypatch.setattr(analysis, name, counted(name))
         analysis._unitrade_graph.cache_clear()
+        return calls
+
+    def test_structure_calls_build_one_graph(self, monkeypatch, pair_z2z4):
+        calls = self.count_kernels(monkeypatch)
         cell = pair_z2z4[1]
         assert len(cell) == 96 and is_extended_unitrade(cell).ok
         is_bipartite_unitrade(cell, extended=True)
         primary_components(cell, extended=True)
         reducibility_certificate(cell)
-        # one ball count for the caller's check, one for the graph's
-        assert calls == {"_coverage_counts_union": 2, "_conflict_adjacency": 1}
+        pair_profile(cell.translate(cell.words[0]))
+        # the caller's own check counts; then one walk checks each set and
+        # gives its graph, and no pass over the pairs is left
+        assert calls == {"_coverage_counts_union": 1, "_ball_members": 2}
+        assert not hasattr(analysis, "_conflict_adjacency")
+
+    def test_classification_walks_each_set_once(self, monkeypatch):
+        calls = self.count_kernels(monkeypatch)
+        classes = classify_extended_unitrades(SearchConfig(n=8))
+        # 9 sieve-new solutions and 8 representatives; the parent counted
+        # 25 balls and made 17 pair passes
+        assert len(classes) == 8
+        assert calls == {"_ball_members": 17}
 
     def test_interleaved_sets_keep_their_own_answers(self, pair_z2z4):
         calls = (lambda t: is_bipartite_unitrade(t, extended=True),
@@ -381,6 +396,47 @@ class TestOneCheckedGraph:
         for k, call in enumerate(calls):
             for t in sets + sets[::-1] + sets:
                 assert call(t) == fresh[t, k]
+
+
+class TestGraphRowsAgainstPairPass:
+    """The rows that the checking ball walk builds equal those of the pair pass."""
+
+    @staticmethod
+    def assert_rows(code, extended):
+        analysis._unitrade_graph.cache_clear()
+        assert analysis._unitrade_graph(code, extended)[0] == conflict_adjacency(code)
+
+    def test_unitrades_with_repeated_words(self):
+        # a perfect code taken twice puts two words in every ball
+        def syndrome(k):
+            s = 0
+            for b in range(7):
+                s ^= (b + 1) * (k >> b & 1)
+            return s
+
+        hamming7 = Code.from_bits(Space(7, 2), [k for k in range(128) if not syndrome(k)])
+        perfect = [constructions.hamming_code_q(2), constructions.hamming_code_q(3), hamming7]
+        for code in perfect:
+            doubled = Code(code.space, list(code.words) * 2)
+            assert is_unitrade(doubled).ok and len(doubled.duplicate_words()) == len(code)
+            self.assert_rows(doubled, False)
+            w = code.words[-1]
+            self.assert_rows(Code(code.space, [w, w]), False)
+        for code in (constructions.extend_parity(perfect[0]), constructions.extend_parity(hamming7)):
+            doubled = Code(code.space, list(code.words) * 2)
+            assert is_extended_unitrade(doubled).ok
+            self.assert_rows(doubled, True)
+
+    def test_ternary_plain_unitrades(self):
+        union = constructions.hamming_coset_union(3, 2)
+        for code in (union, union.translate(Word.from_symbols([1, 2, 0, 1], 3))):
+            assert code.space.q == 3 and is_unitrade(code).ok
+            self.assert_rows(code, False)
+
+    def test_class_representatives(self):
+        for n in (6, 8):
+            for cl in classify_extended_unitrades(SearchConfig(n=n)):
+                self.assert_rows(cl.representative, True)
 
 
 class TestDistanceData:
@@ -555,7 +611,7 @@ def ref_components(code, extended):
 
 def walk_bipartition(code):
     """The split or odd cycle that the walk finds on any code's conflict graph."""
-    _, color, parent, clash = _conflict_walk(_conflict_adjacency(code))
+    _, color, parent, clash = _conflict_walk(conflict_adjacency(code))
     if clash is not None:
         return Bipartition(None, tuple(code.words[i] for i in _odd_cycle(*clash, parent)))
     sides = ([w for w, c in zip(code.words, color) if c == side] for side in (0, 1))
@@ -632,12 +688,12 @@ class TestKeyKernelsAgainstReferences:
         for group, ext in ((plain, False), (extended, True)):
             for code in group:
                 # on a constant-parity set, distance <= 2 is distance 0 or 2
-                assert _conflict_adjacency(code) == ref_conflicts(code, ext)
+                assert analysis._unitrade_graph(code, ext)[0] == ref_conflicts(code, ext)
                 check_bipartition(code, ext, is_bipartite_unitrade(code, ext))
                 got = primary_components(code, ext)
                 assert sorted([w.key for w in c.words] for c in got) == ref_components(code, ext)
         for code in others:  # no unitrade: the unchecked graph and walk
-            assert _conflict_adjacency(code) == ref_conflicts(code, False)
+            assert conflict_adjacency(code) == ref_conflicts(code, False)
             check_bipartition(code, False, walk_bipartition(code))
 
     def test_pair_profiles(self, reference_samples):

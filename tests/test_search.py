@@ -428,6 +428,13 @@ class TestClassifySmall:
                     SearchConfig(n=8, **{flag: value})
         assert SearchConfig(n=8, antipodal_only=True).filter_key()["antipodal_only"] is True
 
+    def test_non_unitrade_representative_is_an_assertion(self, monkeypatch):
+        # {0000, 0011} meets the ball around 0100 once: the certificate's
+        # checking walk refuses it, and the guard reports a defect
+        monkeypatch.setattr(search, "_canonical_search", lambda keys, n: ((0b0000, 0b0011), 1))
+        with pytest.raises(AssertionError, match="non-unitrade representative"):
+            classify_extended_unitrades(SearchConfig(n=4))
+
     @pytest.mark.parametrize("n", [6, 8])
     @pytest.mark.parametrize("antipodal", [False, True])
     def test_max_cardinality_matches_filtered_full_classification(self, n, antipodal):
