@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 
 from .core import (
     Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code,
-    _key_of, _popcount_view, _symbols_of, _word, hamming_distance,
+    _popcount_view, _symbols_of, _word, hamming_distance,
 )
 
 # ---------------------------------------------------------------------------
@@ -317,10 +317,18 @@ class Reducibility:
 
 
 def _project(t_set: Code, coords: tuple[int, ...]) -> Code:
-    """The set of words restricted to the coordinates (binary)."""
-    space = Space(len(coords), 2)
-    words = (_symbols_of(t_set.space, k) for k in t_set.keys)
-    return _code(space, {_key_of(space, [s[c] for c in coords]) for s in words})
+    """The set of words restricted to the coordinates (binary), cut from
+    the keys one run of adjacent coordinates at a time."""
+    n, m = t_set.space.n, len(coords)
+    runs = []  # (shift to the run's last coordinate, run mask, shift into the image)
+    i = 0
+    while i < m:
+        j = i + 1
+        while j < m and coords[j] == coords[j - 1] + 1:
+            j += 1
+        runs.append((n - 1 - coords[j - 1], (1 << (j - i)) - 1, m - j))
+        i = j
+    return _code(Space(m, 2), {sum((k >> s & mask) << p for s, mask, p in runs) for k in t_set.keys})
 
 
 def reducibility_certificate(t_set: Code) -> Reducibility:

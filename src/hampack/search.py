@@ -42,9 +42,10 @@ coordinate permutations composed with translations (odd-parity sets are
 translated onto even parity).  Two sets are compared by invariants
 first, in order: size, distance profile, and the GF(2) rank of the
 difference set {c + c0} (the dimension of the affine span); only sets
-that agree on all three get canonical forms.  The canonical form is
-the exact lexicographic minimum of the sorted word list over the group,
-computed by branch and bound over ordered column partitions: the
+that agree on all three get canonical forms, and the second set's
+search stops as soon as it meets the first set's form.  The canonical
+form is the exact lexicographic minimum of the sorted word list over
+the group, computed by branch and bound over ordered column partitions: the
 minimum always starts with the zero word, so only translations by
 members matter, and columns are refined word by word, emitting at each
 step the smallest realizable next word.
@@ -93,7 +94,9 @@ _MIN_N, _MAX_N = 4, 12
 # canonical forms and equivalence
 # ---------------------------------------------------------------------------
 
-def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
+def _canonical_search(
+    keys: Sequence[int], n: int, target: Optional[tuple[int, ...]] = None,
+) -> tuple[tuple[int, ...], int]:
     """Exact lex-min of the sorted key list over translations x permutations,
     and the number of translates whose tree was searched.
 
@@ -104,6 +107,12 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
     one orbit of the automorphism group give the same candidate forms, so
     a translate whose orbit holds a searched one is skipped exactly, and
     a tree is left as soon as its own translate joins such an orbit.
+
+    ``target``, the form of some set, only changes the cost: translates
+    whose weight profile is the target's are searched first, and the
+    search stops at a leaf equal to it.  That leaf is an image of the
+    set, so the set lies in the target's class, whose lex-min form the
+    target is; the answer is exact either way.
     """
     if not keys:
         return (), 0
@@ -115,7 +124,7 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
     parent = {k: k for k in key_set}
     searched_roots: set[int] = set()  # orbits holding a fully searched translate
     orbits = len(key_set)
-    stop = False
+    stop = met = False  # met: the incumbent is the target
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -129,9 +138,11 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
     def leaf(blocks: tuple[int, ...], cand: list[int]) -> None:
         """Take a better leaf as incumbent, or fold the automorphism that
         maps a tied leaf onto the incumbent into the orbits."""
-        nonlocal best, best_columns, best_t, orbits, stop
+        nonlocal best, best_columns, best_t, orbits, stop, met
         if best is None or cand < best:
             best, best_columns, best_t = cand, columns(blocks), t
+            if target is not None and tuple(cand) == target:
+                stop = met = True
             return
         if cand != best or orbits == 1:  # one orbit: nothing left to skip
             return
@@ -177,8 +188,13 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
     translates = sorted(
         (sorted((k ^ t).bit_count() for k in key_set), t) for t in key_set
     )
+    if target is not None:  # only a translate of the target's profile meets it
+        profile = sorted(k.bit_count() for k in target)
+        translates.sort(key=lambda item: item[0] != profile)
     searched = 0
     for _, t in translates:
+        if met:
+            break
         if find(t) in searched_roots:
             continue
         searched += 1
@@ -213,9 +229,12 @@ def _canonical_search(keys: Sequence[int], n: int) -> tuple[tuple[int, ...], int
 
 
 @lru_cache(maxsize=256)
-def _canonical_keys_cached(keys: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Exact lex-min of the sorted key list over translations x permutations."""
-    return _canonical_search(keys, n)[0]
+def _canonical_keys_cached(
+    keys: tuple[int, ...], n: int, target: Optional[tuple[int, ...]] = None,
+) -> tuple[int, ...]:
+    """Exact lex-min of the sorted key list over translations x permutations;
+    ``target`` is a stopping hint for ``_canonical_search``."""
+    return _canonical_search(keys, n, target)[0]
 
 
 def canonical_form(t_set: Code) -> Code:
@@ -244,7 +263,9 @@ def are_equivalent(a: Code, b: Code) -> bool:
     Both sets must be multiplicity-free (``ValueError`` otherwise, before
     anything is compared).  The checks run cheapest first: size, distance
     profile, the rank of the difference set, and only then the canonical
-    forms, which alone can answer True.
+    forms, which alone can answer True.  The pair is put in key order, and
+    the second set's search stops once it meets the first set's form, so
+    the pair is cached the same way in either order.
     """
     if a.space.n != b.space.n:
         raise ValueError("sets of different lengths are never equivalent")
@@ -258,7 +279,9 @@ def are_equivalent(a: Code, b: Code) -> bool:
         return False
     if _difference_rank(a.keys, a.space.n) != _difference_rank(b.keys, b.space.n):
         return False
-    return _canonical_keys_cached(a.keys, a.space.n) == _canonical_keys_cached(b.keys, b.space.n)
+    first, second = sorted((a.keys, b.keys))
+    form = _canonical_keys_cached(first, a.space.n)
+    return _canonical_keys_cached(second, a.space.n, form) == form
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +606,9 @@ class EquivalenceClass:
 
 def has_constant_weight_translate(t_set: Code) -> bool:
     """Is some translate of the set constant-weight (equivalently: is the
-    set at uniform distance from some word)?"""
+    set at uniform distance from some word)?  Defined for q=2."""
+    if t_set.space.q != 2:
+        raise ValueError("constant-weight translates are defined for q=2 only")
     keys = t_set.keys
     if not keys:
         return True

@@ -189,3 +189,12 @@ def equitable_reading(n: int, cells) -> tuple:
         elif rows[ci] != tuple(profile):
             return None, key
     return tuple(rows), None
+
+
+def binary_projection(code, coords) -> list:
+    """The distinct words of a binary code restricted to the coordinates,
+    in the given order, as sorted symbol tuples, built one symbol at a
+    time (coordinate 0 is the most significant bit of a key)."""
+    n = code.space.n
+    words = {tuple(key >> (n - 1 - i) & 1 for i in range(n)) for key in code.keys}
+    return sorted({tuple(s[c] for c in coords) for s in words})

@@ -30,7 +30,9 @@ from hampack.analysis import (
 )
 from hampack.core import Code, Space, Word, coverage_multiplicity, hamming_distance, weight
 from hampack.search import SearchConfig, classify_extended_unitrades
-from oracles import conflict_adjacency, halved_cube_reading, krawtchouk_table, macwilliams_transform
+from oracles import (
+    binary_projection, conflict_adjacency, halved_cube_reading, krawtchouk_table, macwilliams_transform,
+)
 
 
 def bword(s: str) -> Word:
@@ -729,6 +731,45 @@ class TestKeyKernelsAgainstReferences:
                     rebuilt.add(tuple(s))
             assert rebuilt == symbols
         assert kinds.count("factorization") == 4
+
+    def test_projections_match_symbol_reading(self, reference_samples):
+        # seeded random cuts: coordinates with gaps, in any order
+        rng = random.Random(34)
+        _, extended, others = reference_samples
+        codes = [code for code in extended + others if code.space.q == 2]
+        codes += [random_code(rng, rng.randrange(1, 11), rng.randrange(1, 30)) for _ in range(40)]
+        for code in codes:
+            n = code.space.n
+            for _ in range(5):
+                coords = tuple(rng.sample(range(n), rng.randrange(1, n + 1)))
+                for cut in (coords, tuple(sorted(coords))):
+                    got = analysis._project(code, cut)
+                    assert got.space == Space(len(cut), 2)
+                    assert [w.symbols for w in got.words] == binary_projection(code, cut), (code.keys, cut)
+
+    def test_certificates_match_symbol_projection(self, reference_samples, monkeypatch):
+        # products, and coordinate-shuffled translates of them, whose
+        # components are no longer runs of adjacent coordinates
+        rng = random.Random(35)
+        _, extended, _ = reference_samples
+        d2, d4, d6, l6 = (constructions.diagonal_unitrade(2), constructions.diagonal_unitrade(4),
+                          constructions.diagonal_unitrade(6), constructions.l_star(6))
+        products = [constructions.concatenate(d4, d6), constructions.concatenate(l6, d4),
+                    constructions.concatenate(d4, d4), constructions.concatenate(l6, d2),
+                    constructions.concatenate(constructions.concatenate(d2, d4), d2)]
+        samples = extended + products
+        for t in products:
+            n = t.space.n
+            perm = rng.sample(range(n), n)
+            shift = rng.randrange(1 << n)
+            samples.append(Code.from_bits(t.space, [
+                sum(1 << (n - 1 - perm[i]) for i in range(n) if k >> (n - 1 - i) & 1) ^ shift
+                for k in t.keys]))
+        got = [reducibility_certificate(t) for t in samples]
+        monkeypatch.setattr(analysis, "_project", lambda t, coords: Code(
+            Space(len(coords), 2), [Word.from_symbols(s, 2) for s in binary_projection(t, coords)]))
+        assert got == [reducibility_certificate(t) for t in samples]
+        assert [cert.kind for cert in got].count("factorization") == 12
 
     def test_dual_distribution_written_out(self, reference_samples):
         # B'_k = sum_i B_i K_k(i) / |C|, with B from all ordered pairs and

@@ -228,6 +228,45 @@ class TestCanonicalForm:
             assert 8 * count <= len(t)
             assert list(form) == [w.key for w in canonical_form(t).words]
 
+    def test_hint_returns_the_plain_form(self):
+        # every equal-size pair of the oracle sets and their images, both
+        # orders: the other set's form as a hint never changes the answer
+        rng = random.Random(42)
+        buckets: dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        for keys, n in oracle_sets():
+            code = Code.from_bits(Space(n, 2), keys)
+            for t in (code, random_isometry(rng, code)):
+                buckets.setdefault((n, len(t)), []).append((t.keys, _canonical_search(t.keys, n)[0]))
+        pairs = met = 0
+        for (n, _), bucket in buckets.items():
+            for (keys, form), (_, target) in permutations(bucket, 2):
+                assert _canonical_search(keys, n, target)[0] == form, (keys, target)
+                pairs += 1
+                met += form == target
+        assert pairs > 4000 and 600 < met < pairs
+
+    def test_hint_of_another_c4_cell_searches_the_plain_translates(self, all_pairs):
+        # every translate of a C4 cell has one weight profile, so the hint
+        # keeps the plain translate order, and an inequivalent cell's form
+        # is never met: the hinted search is the plain one, step by step
+        rng = random.Random(48)
+        cells = [c4 for _, c4 in all_pairs.values()]
+        forms = [canonical_form(t).keys for t in cells]
+        for t in cells:
+            assert len({tuple(sorted((k ^ x).bit_count() for k in t.keys)) for x in t.keys}) == 1
+        for (a, _), (_, target) in permutations(zip(cells, forms), 2):
+            for _ in range(2):
+                image = random_isometry(rng, a).keys
+                assert _canonical_search(image, 10, target) == _canonical_search(image, 10)
+
+    @pytest.mark.parametrize("name, plain", [("linear_c4", 2), ("l_star_10", 3)])
+    def test_same_class_hint_stops_after_one_translate(self, pair_linear, name, plain):
+        t = pair_linear[1] if name == "linear_c4" else con.l_star(10)
+        image = random_isometry(random.Random(50), t).keys
+        form = canonical_form(t).keys
+        assert _canonical_search(image, 10) == (form, plain)
+        assert _canonical_search(image, 10, form) == (form, 1)
+
 
     def test_deep_tree_needs_no_recursion(self):
         # twin columns 0 and 1 never split, so every node of the tree has
@@ -345,6 +384,20 @@ class TestAreEquivalent:
             assert are_equivalent(a, b)
         assert len(calls) == 2
 
+    def test_reversed_pair_runs_no_search(self, monkeypatch):
+        t = con.l_star(8)
+        image = random_isometry(random.Random(51), t)
+        form = canonical_form(t).keys
+        calls = []
+        plain = search._canonical_search
+        monkeypatch.setattr(search, "_canonical_search",
+                            lambda keys, n, target=None: calls.append(target) or plain(keys, n, target))
+        search._canonical_keys_cached.cache_clear()
+        assert are_equivalent(t, image)
+        assert calls == [None, form]  # the second search is hinted with the first form
+        assert are_equivalent(image, t)
+        assert len(calls) == 2
+
 
 class TestClassifySmall:
     def test_n6_complete(self):
@@ -399,6 +452,11 @@ class TestClassifySmall:
             assert cl.bipartite == is_bipartite_unitrade(rep, extended=True).bipartite
             assert cl.antipodal == is_antipodal(rep)
             assert cl.constant_weight_translate == has_constant_weight_translate(rep)
+
+    def test_constant_weight_translate_is_binary_only(self):
+        assert has_constant_weight_translate(con.l_star(6))
+        with pytest.raises(ValueError, match="defined for q=2 only"):
+            has_constant_weight_translate(con.mds_code(3, 3))
 
     def test_max_cardinality_filter(self):
         classes = classify_extended_unitrades(SearchConfig(n=8, max_cardinality=24))
