@@ -29,13 +29,21 @@ so distance <= 2 means distance 0 or 2 there.
 All distributions (distance distribution, MacWilliams transform) are
 computed from integer pair counts and returned as exact rationals, so
 nonnegativity of the dual distribution is a hard check rather than a
-tolerance question; the Krawtchouk table is built once per n.
+tolerance question; the Krawtchouk table is built once per n.  The
+pair counts and the inner radius read one pass over the pairs
+(``_pair_pass``), which keeps the last set's; the isometry tests of
+``search`` read the same pass for their distance profile.  Column
+weights (``_column_counts``) take one shift, mask and popcount per
+coordinate, and serve both the balance check and the column profile
+of those tests.
 
 Everything here is pure and read-only; inputs are immutable codes.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +54,7 @@ from typing import Optional, Sequence
 
 from .core import (
     Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code,
-    _popcount_view, _symbols_of, _word, hamming_distance,
+    _popcount_view, _word, hamming_distance,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,17 +193,46 @@ class Bipartition:
         return self.bipartite
 
 
-def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> list[int]:
-    """counts[d]: the pairs i < j of ``keys`` at distance d, d = 0..n.
+@lru_cache(maxsize=1)
+def _pair_pass(space: Space, keys: Sequence[int | bytes]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One pass over the pairs i < j of ``keys`` (a tuple): counts[d], the
+    pairs at distance d, d = 0..n, and far[i], the largest distance from
+    word i to the others.  The last set's result is kept, so the distance
+    counts and the inner radius of one code share the pass.
 
     The view's popcounts are the distances shifted left by ``shift``, so
     the counts are read off at every (1 << shift)-th popcount."""
     keys, shift = _popcount_view(space, keys)
     counts = [0] * ((space.n << shift) + 1)
+    far = [0] * len(keys)
     for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            counts[(a ^ b).bit_count()] += 1
-    return counts[::1 << shift]
+        top = far[i]
+        for j in range(i + 1, len(keys)):
+            d = (a ^ keys[j]).bit_count()
+            counts[d] += 1
+            if d > top:
+                top = d
+            if d > far[j]:
+                far[j] = d
+        far[i] = top
+    return tuple(counts[::1 << shift]), tuple(f >> shift for f in far)
+
+
+def _distance_counts(space: Space, keys: Sequence[int | bytes]) -> tuple[int, ...]:
+    """counts[d]: the pairs i < j of ``keys`` (a tuple) at distance d, d = 0..n."""
+    return _pair_pass(space, keys)[0]
+
+
+def _column_counts(keys: Sequence[int], n: int) -> list[int]:
+    """k[b]: the binary keys with bit b set, b = 0..n-1, in O(|keys|·n).
+
+    The keys, each below 2^64 (``MAX_BINARY_N``), are laid side by side
+    in one int of 64-bit fields; bit b of every field is then one shift,
+    one mask and one popcount away."""
+    fields = array("Q", keys)
+    packed = int.from_bytes(fields.tobytes(), sys.byteorder)
+    ones = int.from_bytes((array("Q", [1]) * len(fields)).tobytes(), sys.byteorder)
+    return [(packed >> b & ones).bit_count() for b in range(n)]
 
 
 def _ball_members(code: Code) -> dict:
@@ -449,8 +486,7 @@ def oa_strength1_check(t_set: Code) -> bool:
     """Each coordinate holds 0 and 1 equally often (strength-1 OA)."""
     if t_set.space.q != 2:
         raise ValueError("the balance check is defined for q=2 only")
-    columns = zip(*(_symbols_of(t_set.space, k) for k in t_set.keys))
-    return all(2 * sum(column) == len(t_set) for column in columns)
+    return all(2 * k == len(t_set) for k in _column_counts(t_set.keys, t_set.space.n))
 
 
 def average_distance(t_set: Code, v: Word) -> Fraction:
@@ -465,16 +501,7 @@ def inner_radius(t_set: Code) -> int:
     """min over members of the max distance to other members."""
     if len(t_set) == 0:
         raise ValueError("inner radius of an empty set is undefined")
-    keys, shift = _popcount_view(t_set.space, t_set.keys)
-    far = [0] * len(keys)  # row maxima, from one pass over the pairs i < j
-    for i, a in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            d = (a ^ keys[j]).bit_count()
-            if d > far[i]:
-                far[i] = d
-            if d > far[j]:
-                far[j] = d
-    return min(far) >> shift
+    return min(_pair_pass(t_set.space, t_set.keys)[1])
 
 
 @dataclass(frozen=True)

@@ -40,15 +40,19 @@ the rest get canonical forms, which merge the G-orbits into classes.
 Equivalence is the isometry group of H(n, 2) acting on vertex sets:
 coordinate permutations composed with translations (odd-parity sets are
 translated onto even parity).  Two sets are compared by invariants
-first, in order: size, distance profile, and the GF(2) rank of the
-difference set {c + c0} (the dimension of the affine span); only sets
-that agree on all three get canonical forms, and the second set's
-search stops as soon as it meets the first set's form.  The canonical
-form is the exact lexicographic minimum of the sorted word list over
-the group, computed by branch and bound over ordered column partitions: the
-minimum always starts with the zero word, so only translations by
-members matter, and columns are refined word by word, emitting at each
-step the smallest realizable next word.
+first, cheapest first: size, column weights (the sorted min(k_i, m - k_i)
+over the coordinates, O(m·n)), distance profile, and the GF(2) rank of
+the difference set {c + c0} (the dimension of the affine span); only
+sets that agree on all four get canonical forms, and the second set's
+search stops as soon as it meets the first set's form.  A set that
+passes size and column weights gets one record, in an LRU shared with
+``canonical_form``, holding its distance profile, rank and form, each
+filled on first use.  The canonical form is the exact lexicographic
+minimum of the sorted word list over the group, computed by branch and
+bound over ordered column partitions: the minimum always starts with the
+zero word, so only translations by members matter, and columns are
+refined word by word, emitting at each step the smallest realizable next
+word.
 
 ``max_twofold_packing_size`` and ``max_packing_size`` are independent
 branch-and-bound oracles over raw vertex sets; they certify exact
@@ -74,14 +78,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, permutations
 from math import comb
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Optional, Sequence
 
 from .analysis import (
-    _distance_counts, is_antipodal, is_bipartite_unitrade, is_extended_unitrade, reducibility_certificate,
+    _column_counts, _distance_counts, is_antipodal, is_bipartite_unitrade, is_extended_unitrade,
+    reducibility_certificate,
 )
 from .bounds import lp_bound, sphere_packing_bound
 from .core import Code, Space, _check_lambda, _code
@@ -228,13 +233,53 @@ def _canonical_search(
     return tuple(best), searched
 
 
+def _column_profile(keys: Sequence[int], n: int) -> list[int]:
+    """Sorted min(k_i, m - k_i) over the coordinates, k_i the words with
+    bit i set: coordinate permutations permute the k_i, and a translation
+    maps k_i to m - k_i where it flips bit i, so this is an isometry
+    invariant, read in O(m·n).  One word moved one step changes one k_i by
+    one, which for even m always changes its min."""
+    m = len(keys)
+    return sorted(min(k, m - k) for k in _column_counts(keys, n))
+
+
+def _difference_rank(keys: tuple[int, ...], n: int) -> int:
+    """GF(2) rank of the difference set {c + c0}: the dimension of the
+    set's affine span, which every isometry of H(n, 2) preserves."""
+    return gf2_rank(_code(Space(n, 2), [k ^ keys[0] for k in keys])) if keys else 0
+
+
+class _Invariants:
+    """The isometry invariants of one multiplicity-free binary set, each
+    computed on first use and kept: the distance profile, the difference
+    rank and the canonical form."""
+
+    def __init__(self, keys: tuple[int, ...], n: int) -> None:
+        self.keys, self.n = keys, n
+        self._form: Optional[tuple[int, ...]] = None
+
+    @cached_property
+    def profile(self) -> tuple[int, ...]:
+        return _distance_counts(Space(self.n, 2), self.keys)
+
+    @cached_property
+    def rank(self) -> int:
+        return _difference_rank(self.keys, self.n)
+
+    def form(self, target: Optional[tuple[int, ...]] = None) -> tuple[int, ...]:
+        """The canonical form; ``target`` is a stopping hint for
+        ``_canonical_search``, whose answer is exact either way."""
+        if self._form is None:
+            self._form = _canonical_search(self.keys, self.n, target)[0]
+        return self._form
+
+
 @lru_cache(maxsize=256)
-def _canonical_keys_cached(
-    keys: tuple[int, ...], n: int, target: Optional[tuple[int, ...]] = None,
-) -> tuple[int, ...]:
-    """Exact lex-min of the sorted key list over translations x permutations;
-    ``target`` is a stopping hint for ``_canonical_search``."""
-    return _canonical_search(keys, n, target)[0]
+def _invariants(keys: tuple[int, ...], n: int) -> _Invariants:
+    """The one record of the set, shared by ``canonical_form`` and
+    ``are_equivalent``; a pair's sets enter it only once they pass the
+    size and column checks, so near misses never evict forms."""
+    return _Invariants(keys, n)
 
 
 def canonical_form(t_set: Code) -> Code:
@@ -245,15 +290,7 @@ def canonical_form(t_set: Code) -> Code:
     keys = t_set.keys
     if len(set(keys)) != len(keys):
         raise ValueError("canonical forms are defined for multiplicity-free sets")
-    return _code(t_set.space, _canonical_keys_cached(keys, t_set.space.n))
-
-
-@lru_cache(maxsize=256)
-def _difference_rank(keys: tuple[int, ...], n: int) -> int:
-    """GF(2) rank of the difference set {c + c0}: the dimension of the
-    set's affine span, which every isometry of H(n, 2) preserves.  It is
-    cached beside the forms, so a repeated query runs no elimination."""
-    return gf2_rank(_code(Space(n, 2), [k ^ keys[0] for k in keys])) if keys else 0
+    return _code(t_set.space, _invariants(keys, t_set.space.n).form())
 
 
 def are_equivalent(a: Code, b: Code) -> bool:
@@ -261,11 +298,13 @@ def are_equivalent(a: Code, b: Code) -> bool:
     translation.
 
     Both sets must be multiplicity-free (``ValueError`` otherwise, before
-    anything is compared).  The checks run cheapest first: size, distance
-    profile, the rank of the difference set, and only then the canonical
-    forms, which alone can answer True.  The pair is put in key order, and
-    the second set's search stops once it meets the first set's form, so
-    the pair is cached the same way in either order.
+    anything is compared).  The checks run cheapest first: size, column
+    weights, distance profile, the rank of the difference set, and only
+    then the canonical forms, which alone can answer True.  A set that
+    passes the first two enters the record cache, so a repeated pair
+    computes nothing again.  The pair is put in key order, and the second
+    set's search stops once it meets the first set's form, so the pair is
+    cached the same way in either order.
     """
     if a.space.n != b.space.n:
         raise ValueError("sets of different lengths are never equivalent")
@@ -273,15 +312,14 @@ def are_equivalent(a: Code, b: Code) -> bool:
         raise ValueError("equivalence is implemented for q=2 only")
     if len(set(a.keys)) != len(a) or len(set(b.keys)) != len(b):
         raise ValueError("equivalence is defined for multiplicity-free sets")
-    if len(a) != len(b):
+    n = a.space.n
+    if len(a) != len(b) or _column_profile(a.keys, n) != _column_profile(b.keys, n):
         return False
-    if _distance_counts(a.space, a.keys) != _distance_counts(b.space, b.keys):
+    first, second = (_invariants(keys, n) for keys in sorted((a.keys, b.keys)))
+    if first.profile != second.profile or first.rank != second.rank:
         return False
-    if _difference_rank(a.keys, a.space.n) != _difference_rank(b.keys, b.space.n):
-        return False
-    first, second = sorted((a.keys, b.keys))
-    form = _canonical_keys_cached(first, a.space.n)
-    return _canonical_keys_cached(second, a.space.n, form) == form
+    form = first.form()
+    return second.form(form) == form
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +425,7 @@ class _Engine:
                             if not status[mj]:
                                 push((mj, 1))
                                 break
-                    else:
+                    elif v == 1:  # listed once, when its first word comes in
                         fronts.append(ci)
                 elif c_in == 2:
                     if c_und:

@@ -198,3 +198,20 @@ def binary_projection(code, coords) -> list:
     n = code.space.n
     words = {tuple(key >> (n - 1 - i) & 1 for i in range(n)) for key in code.keys}
     return sorted({tuple(s[c] for c in coords) for s in words})
+
+
+def pair_distances(code) -> tuple[list, list]:
+    """counts[d], the pairs i < j of the code's words (repeats counted) at
+    distance d, and far[i], the largest distance from word i to any word
+    (0 for a lone word), comparing symbols pair by pair."""
+    n, q = code.space.n, code.space.q
+    words = [tuple(key >> (n - 1 - i) & 1 for i in range(n)) if q == 2 else tuple(key)
+             for key in code.keys]
+    counts, far = [0] * (n + 1), [0] * len(words)
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            d = sum(a != b for a, b in zip(x, y))
+            far[i] = max(far[i], d)
+            if i < j:
+                counts[d] += 1
+    return counts, far

@@ -32,6 +32,7 @@ from hampack.core import Code, Space, Word, coverage_multiplicity, hamming_dista
 from hampack.search import SearchConfig, classify_extended_unitrades
 from oracles import (
     binary_projection, conflict_adjacency, halved_cube_reading, krawtchouk_table, macwilliams_transform,
+    pair_distances,
 )
 
 
@@ -358,7 +359,7 @@ class TestOneCheckedGraph:
                 return kernel(*args)
             return wrapper
 
-        for name in ("_coverage_counts_union", "_ball_members", "_distance_counts"):
+        for name in ("_coverage_counts_union", "_ball_members", "_pair_pass"):
             monkeypatch.setattr(analysis, name, counted(name))
         analysis._unitrade_graph.cache_clear()
         return calls
@@ -375,6 +376,14 @@ class TestOneCheckedGraph:
         # gives its graph, and no pass over the pairs is left
         assert calls == {"_coverage_counts_union": 1, "_ball_members": 2}
         assert not hasattr(analysis, "_conflict_adjacency")
+
+    def test_distances_and_inner_radius_share_one_pass(self, pair_z2z4):
+        cell = pair_z2z4[1]
+        analysis._pair_pass.cache_clear()
+        distance_data(cell)
+        inner_radius(cell)
+        info = analysis._pair_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_classification_walks_each_set_once(self, monkeypatch):
         calls = self.count_kernels(monkeypatch)
@@ -491,6 +500,20 @@ class TestOaAndRadius:
 
     def test_empty_balanced(self):
         assert oa_strength1_check(Code(Space(4, 2), []))
+
+    def test_column_counts_match_the_symbol_columns(self):
+        # the balance check's old reading: sum each coordinate's symbols;
+        # word sets closed under complement are balanced, random ones rarely
+        rng = random.Random(56)
+        for n in (1, 2, 7, 8, 9, 33, 63, 64):
+            full = (1 << n) - 1
+            for size in (0, 1, 2, 6, 20):
+                half = [rng.randrange(1 << n) for _ in range(size // 2)] + [0] * (size % 2)
+                for code in (Code.from_bits(Space(n, 2), half + [k ^ full for k in half]),
+                             Code.from_bits(Space(n, 2), [rng.randrange(1 << n) for _ in range(size)])):
+                    columns = [sum(w.symbols[i] for w in code.words) for i in range(n)]
+                    assert analysis._column_counts(code.keys, n)[::-1] == columns
+                    assert oa_strength1_check(code) == all(2 * c == len(code) for c in columns)
 
     def test_average_distance_half_n(self):
         rng = random.Random(24)
@@ -684,6 +707,15 @@ class TestKeyKernelsAgainstReferences:
             assert inner_radius(code) == ref_inner_radius(code)
             total = sum(hamming_distance(c, x) for c in code.words)
             assert average_distance(code, x) == Fraction(total, len(code))
+
+    def test_pair_pass(self, reference_samples):
+        # binary and q-ary codes, repeated words, and lone words of each kind
+        plain, extended, others = reference_samples
+        lone = [Code(c.space, c.words[:1]) for c in (plain[0], others[-1], others[-3])]
+        assert any(len(set(c.keys)) < len(c) for c in others)
+        for code in plain + extended + others + lone:
+            counts, far = pair_distances(code)
+            assert analysis._pair_pass(code.space, code.keys) == (tuple(counts), tuple(far))
 
     def test_conflicts_splits_and_components(self, reference_samples):
         plain, extended, others = reference_samples

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from hampack import analysis, search
 from hampack import constructions as con
-from hampack import search
 from hampack.analysis import (
     _distance_counts,
     is_antipodal,
@@ -34,6 +34,7 @@ from hampack.search import (
     _expand_units,
     _OrbitSieve,
     _canonical_search,
+    _column_profile,
     _difference_rank,
     _enumerate_with_seed,
     _max_packing_search,
@@ -68,6 +69,15 @@ def random_isometry(rng, code: Code) -> Code:
                 img |= 1 << (n - 1 - perm[i])
         keys.append(img ^ shift)
     return Code.from_bits(code.space, keys)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that each call's arguments are recorded in
+    the returned list, which fills as the wrapper is called."""
+    calls = []
+    plain = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or plain(*args))
+    return calls
 
 
 def brute_force_form(keys: list[int], n: int) -> list[int]:
@@ -354,7 +364,7 @@ class TestAreEquivalent:
                 assert _difference_rank(random_isometry(rng, t).keys, t.space.n) == rank
         assert [_difference_rank(c0.keys, c0.space.n) for c0, _ in all_pairs.values()] == [5, 6, 7]
 
-    def test_rank_rejects_before_canonical_search(self, all_pairs):
+    def test_rank_rejects_before_canonical_search(self, all_pairs, monkeypatch):
         # the three 32-word classes of length 8, and the three C0 codes,
         # agree in size and distance profile and differ in rank
         rng = random.Random(45)
@@ -365,17 +375,18 @@ class TestAreEquivalent:
             assert len(images) == 3
             assert len({tuple(_distance_counts(t.space, t.keys)) for t in images}) == 1
             assert len({_difference_rank(t.keys, t.space.n) for t in images}) == 3
-            before = search._canonical_keys_cached.cache_info()
+            assert len({tuple(_column_profile(t.keys, t.space.n)) for t in images}) == 1
+            searches = count_calls(monkeypatch, search, "_canonical_search")
+            search._invariants.cache_clear()
             for a, b in permutations(images, 2):
                 assert not are_equivalent(a, b)
-            after = search._canonical_keys_cached.cache_info()
-            assert (after.hits, after.misses) == (before.hits, before.misses)
+            assert searches == []
 
     def test_cached_repeat_runs_no_rank_elimination(self, monkeypatch):
         calls = []
         rank = search.gf2_rank
         monkeypatch.setattr(search, "gf2_rank", lambda code: calls.append(code) or rank(code))
-        search._difference_rank.cache_clear()
+        search._invariants.cache_clear()
         t = con.l_star(8)
         image = random_isometry(random.Random(46), t)
         assert are_equivalent(t, image)
@@ -392,11 +403,77 @@ class TestAreEquivalent:
         plain = search._canonical_search
         monkeypatch.setattr(search, "_canonical_search",
                             lambda keys, n, target=None: calls.append(target) or plain(keys, n, target))
-        search._canonical_keys_cached.cache_clear()
+        search._invariants.cache_clear()
         assert are_equivalent(t, image)
         assert calls == [None, form]  # the second search is hinted with the first form
         assert are_equivalent(image, t)
         assert len(calls) == 2
+
+    def test_column_profile_is_an_isometry_invariant(self, all_pairs):
+        rng = random.Random(52)
+        cases = [Code.from_bits(Space(n, 2), keys) for keys, n in oracle_sets()]
+        cases += [t for pair in all_pairs.values() for t in pair]  # C0 and C4 cells
+        cases += [c.representative for c in classify_extended_unitrades(SearchConfig(n=8))]
+        for t in cases:
+            profile = _column_profile(t.keys, t.space.n)
+            for _ in range(3):
+                assert _column_profile(random_isometry(rng, t).keys, t.space.n) == profile
+
+    def test_one_step_moves_change_the_column_profile(self):
+        # the moved word's coordinate count goes up or down by one, and for
+        # an even size that always changes its min with the complement count
+        moves = 0
+        for keys, n in oracle_sets():
+            if len(keys) % 2:
+                continue
+            profile = _column_profile(keys, n)
+            for i, k in enumerate(keys):
+                for b in range(n):
+                    assert _column_profile(keys[:i] + [k ^ 1 << b] + keys[i + 1:], n) != profile
+                    moves += 1
+        assert moves > 3000
+
+    def test_near_miss_leaves_the_record_cache_untouched(self, monkeypatch):
+        t = con.l_star(8)
+        keys = list(random_isometry(random.Random(53), t).keys)
+        keys[0] ^= next(1 << b for b in range(8) if keys[0] ^ 1 << b not in keys)
+        near = Code.from_bits(t.space, keys)
+        passes = count_calls(monkeypatch, analysis, "_pair_pass")
+        before = search._invariants.cache_info()
+        for a, b in ((t, near), (near, t)):
+            assert not are_equivalent(a, b)
+        assert search._invariants.cache_info() == before
+        assert passes == []
+
+    def test_repeated_pair_computes_nothing_again(self, monkeypatch):
+        # an equivalent pair, and an inequivalent one that the rank rejects
+        rng = random.Random(54)
+        t = con.l_star(8)
+        k32 = [c.representative for c in classify_extended_unitrades(SearchConfig(n=8))
+               if c.cardinality == 32]
+        pairs = [(t, random_isometry(rng, t)), (random_isometry(rng, k32[0]), random_isometry(rng, k32[1]))]
+        search._invariants.cache_clear()
+        assert [are_equivalent(a, b) for a, b in pairs] == [True, False]
+        passes = count_calls(monkeypatch, analysis, "_pair_pass")
+        ranks = count_calls(monkeypatch, search, "gf2_rank")
+        searches = count_calls(monkeypatch, search, "_canonical_search")
+        for a, b in pairs:
+            assert [are_equivalent(a, b), are_equivalent(b, a)] == [a is t] * 2
+        assert passes == ranks == searches == []
+
+    def test_forms_after_a_pair_run_no_search(self, monkeypatch):
+        # the second set of the pair in key order is searched with the
+        # first set's form as a hint; its exact form is kept all the same
+        for t in (con.l_star(8), con.l_star(10)):
+            image = random_isometry(random.Random(55), t)
+            form = _canonical_search(t.keys, t.space.n)[0]
+            search._invariants.cache_clear()
+            searches = count_calls(monkeypatch, search, "_canonical_search")
+            assert are_equivalent(t, image)
+            assert [target for _, _, target in searches] == [None, form]
+            assert canonical_form(image).keys == canonical_form(t).keys == form
+            assert len(searches) == 2
+            monkeypatch.undo()
 
 
 class TestClassifySmall:
@@ -1264,5 +1341,17 @@ class TestLongJobs:
         reps = [c.representative.keys for c in classes]
         assert hashlib.sha256(repr(reps).encode()).hexdigest()[:16] == "f22478d950791b96"
 
-    def test_min_unitrade_size_n10(self):
+    def test_min_unitrade_size_n10(self, monkeypatch):
+        # one capped run gives the minimum, and its work counts pin the
+        # engine's branching: a change to it fails here, with no extra search
+        runs = []
+
+        def recorded(cfg):
+            result = _run_enumeration(cfg)
+            runs.append((cfg, result[1]))
+            return result
+
+        monkeypatch.setattr(search, "_run_enumeration", recorded)
         assert min_extended_unitrade_size(10) == 32
+        assert runs == [(SearchConfig(n=10, max_cardinality=32),
+                         {"units": 34, "rejected": 19, "searched": 8, "nodes": 456957})]
