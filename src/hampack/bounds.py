@@ -12,10 +12,10 @@ Bounds implemented:
     specialization to H(n, q) via the eigenvalues -n + qi (an n-fold
     1-packing then has at most q^(n-1) words once q >= 2n);
   * the interval q^(n-1) <= max <= q^n / (q - 1 + 1/n) for lambda = n;
-  * the linear-programming bounds for binary lambda-fold 1-packings,
-    with a four-way case split on n mod 4, in both the plain and the
-    even-weight variants (the two variants agree under parity extension:
-    plain(n) = even(n+1));
+  * the linear-programming bound for binary lambda-fold 1-packings,
+    with a four-way case split on n mod 4; the even-weight bound is the
+    same table one coordinate longer (parity extension and puncturing
+    map one family onto the other: even(n) = plain(n-1));
   * the known minimum cardinalities of nonempty plain and extended
     1-perfect unitrades;
   * the forced local weight distribution of an even-weight packing that
@@ -155,26 +155,16 @@ def lp_bound(n: int, lam: int) -> BoundResult:
 
 
 def lp_bound_even(n: int, lam: int) -> BoundResult:
-    """LP bound on even-weight binary lambda-fold 1-packings (n >= 3)."""
+    """LP bound on even-weight binary lambda-fold 1-packings (n >= 3).
+
+    Puncturing one coordinate maps an even-weight packing of length n
+    onto a plain packing of length n - 1, and appending a parity bit maps
+    it back, so this is ``lp_bound(n - 1, lam)`` under its own name.
+    """
     if type(n) is not int or n < 3:
         raise ValueError(f"the even-weight LP bound needs an int n >= 3, got n={n!r}")
-    _check_lambda(lam)
-    sigma = lam % 2
-    half = 1 << (n - 1)
-    mod = n % 4
-    if mod == 1:
-        raw = Fraction(half * (lam * n + 2 * lam - 4 + sigma), (n - 1) * (n + 3))
-        case = "a"
-    elif mod == 2:
-        raw = Fraction(half * (lam * n - 2), (n - 2) * (n + 2))
-        case = "b"
-    elif mod == 3:
-        raw = Fraction(half * (lam * n - 2 + sigma), (n - 1) * (n + 1))
-        case = "c"
-    else:
-        raw = Fraction(half * lam, n)
-        case = "d"
-    return BoundResult(raw.numerator // raw.denominator, raw, f"lp_even({case})")
+    plain = lp_bound(n - 1, lam)
+    return BoundResult(plain.value, plain.raw, plain.formula_id.replace("lp(", "lp_even(", 1))
 
 
 # ---------------------------------------------------------------------------

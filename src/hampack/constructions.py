@@ -221,8 +221,8 @@ def l_star(n: int) -> Code:
     every word of L, giving n/2 more sets; the union has
     2^(n/2-2) (n/2 + 2) words.
     """
-    if n % 2 or n < 6:
-        raise ValueError("L*(n) needs even n >= 6")
+    if type(n) is not int or n % 2 or n < 6:
+        raise ValueError(f"L*(n) needs an even int n >= 6, got n={n!r}")
     base = [[b for b in pairs for _ in range(2)]
             for pairs in product((0, 1), repeat=n // 2) if sum(pairs) % 2 == 0]
     words = {tuple(w) for w in base}

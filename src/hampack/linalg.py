@@ -282,6 +282,8 @@ class PropelinearMap:
         perm = list(range(n))
         for cyc in cycles:
             for idx, a in enumerate(cyc):
+                if type(a) is not int or not 0 <= a < n:
+                    raise ValueError(f"cycle entry {a!r} is not a coordinate in 0..{n - 1}")
                 perm[a] = cyc[(idx + 1) % len(cyc)]
         return cls(Word.from_string(translation, 2), tuple(perm))
 

@@ -41,18 +41,19 @@ Equivalence is the isometry group of H(n, 2) acting on vertex sets:
 coordinate permutations composed with translations (odd-parity sets are
 translated onto even parity).  Two sets are compared by invariants
 first, cheapest first: size, column weights (the sorted min(k_i, m - k_i)
-over the coordinates, O(m·n)), distance profile, and the GF(2) rank of
-the difference set {c + c0} (the dimension of the affine span); only
-sets that agree on all four get canonical forms, and the second set's
-search stops as soon as it meets the first set's form.  A set that
-passes size and column weights gets one record, in an LRU shared with
-``canonical_form``, holding its distance profile, rank and form, each
+over the coordinates, O(m·n)), the GF(2) rank of the difference set
+{c + c0} (the dimension of the affine span, an O(m·n) elimination), and
+the distance profile (an O(m²) pass over the pairs); only sets that
+agree on all four get canonical forms, and the second set's search
+stops as soon as it meets the first set's form.  A set that passes size
+and column weights gets one record, in an LRU shared with
+``canonical_form``, holding its rank, distance profile and form, each
 filled on first use.  The canonical form is the exact lexicographic
 minimum of the sorted word list over the group, computed by branch and
 bound over ordered column partitions: the minimum always starts with the
-zero word, so only translations by members matter, and columns are
-refined word by word, emitting at each step the smallest realizable next
-word.
+zero word, so only translations by members matter (taken in key order),
+and columns are refined word by word, emitting at each step the smallest
+realizable next word.
 
 ``max_twofold_packing_size`` and ``max_packing_size`` are independent
 branch-and-bound oracles over raw vertex sets; they certify exact
@@ -113,9 +114,10 @@ def _canonical_search(
     a translate whose orbit holds a searched one is skipped exactly, and
     a tree is left as soon as its own translate joins such an orbit.
 
-    ``target``, the form of some set, only changes the cost: translates
-    whose weight profile is the target's are searched first, and the
-    search stops at a leaf equal to it.  That leaf is an image of the
+    Translates are searched in key order.  ``target``, the form of some
+    set, only changes the cost: translates whose weight profile is the
+    target's go first (a stable sort, so the rest keep key order), and
+    the search stops at a leaf equal to it.  That leaf is an image of the
     set, so the set lies in the target's class, whose lex-min form the
     target is; the answer is exact either way.
     """
@@ -189,15 +191,12 @@ def _canonical_search(
                 refined.append(ones)
         return v, tuple(refined)
 
-    # order translates so that a strong incumbent appears early
-    translates = sorted(
-        (sorted((k ^ t).bit_count() for k in key_set), t) for t in key_set
-    )
+    translates = sorted(key_set)
     if target is not None:  # only a translate of the target's profile meets it
         profile = sorted(k.bit_count() for k in target)
-        translates.sort(key=lambda item: item[0] != profile)
+        translates.sort(key=lambda t: sorted((k ^ t).bit_count() for k in key_set) != profile)
     searched = 0
-    for _, t in translates:
+    for t in translates:
         if met:
             break
         if find(t) in searched_roots:
@@ -251,20 +250,20 @@ def _difference_rank(keys: tuple[int, ...], n: int) -> int:
 
 class _Invariants:
     """The isometry invariants of one multiplicity-free binary set, each
-    computed on first use and kept: the distance profile, the difference
-    rank and the canonical form."""
+    computed on first use and kept: the difference rank, the distance
+    profile and the canonical form."""
 
     def __init__(self, keys: tuple[int, ...], n: int) -> None:
         self.keys, self.n = keys, n
         self._form: Optional[tuple[int, ...]] = None
 
     @cached_property
-    def profile(self) -> tuple[int, ...]:
-        return _distance_counts(Space(self.n, 2), self.keys)
-
-    @cached_property
     def rank(self) -> int:
         return _difference_rank(self.keys, self.n)
+
+    @cached_property
+    def profile(self) -> tuple[int, ...]:
+        return _distance_counts(Space(self.n, 2), self.keys)
 
     def form(self, target: Optional[tuple[int, ...]] = None) -> tuple[int, ...]:
         """The canonical form; ``target`` is a stopping hint for
@@ -299,9 +298,9 @@ def are_equivalent(a: Code, b: Code) -> bool:
 
     Both sets must be multiplicity-free (``ValueError`` otherwise, before
     anything is compared).  The checks run cheapest first: size, column
-    weights, distance profile, the rank of the difference set, and only
-    then the canonical forms, which alone can answer True.  A set that
-    passes the first two enters the record cache, so a repeated pair
+    weights, the rank of the difference set, the distance profile, and
+    only then the canonical forms, which alone can answer True.  A set
+    that passes the first two enters the record cache, so a repeated pair
     computes nothing again.  The pair is put in key order, and the second
     set's search stops once it meets the first set's form, so the pair is
     cached the same way in either order.
@@ -316,7 +315,7 @@ def are_equivalent(a: Code, b: Code) -> bool:
     if len(a) != len(b) or _column_profile(a.keys, n) != _column_profile(b.keys, n):
         return False
     first, second = (_invariants(keys, n) for keys in sorted((a.keys, b.keys)))
-    if first.profile != second.profile or first.rank != second.rank:
+    if first.rank != second.rank or first.profile != second.profile:
         return False
     form = first.form()
     return second.form(form) == form
@@ -644,19 +643,26 @@ class EquivalenceClass:
 
 def has_constant_weight_translate(t_set: Code) -> bool:
     """Is some translate of the set constant-weight (equivalently: is the
-    set at uniform distance from some word)?  Defined for q=2."""
+    set at uniform distance from some word)?  Defined for q=2.  A column
+    on which every word agrees adds one amount to every distance, so only
+    the words zero outside the k varying columns are tried (ValueError
+    for k > 24, where that would take minutes)."""
     if t_set.space.q != 2:
         raise ValueError("constant-weight translates are defined for q=2 only")
     keys = t_set.keys
-    if not keys:
-        return True
-    n = t_set.space.n
-    first = keys[0]
-    for v in range(1 << n):
-        d = (first ^ v).bit_count()
-        if all((k ^ v).bit_count() == d for k in keys):
-            return True
-    return False
+    first = keys[0] if keys else 0
+    varying = 0
+    for k in keys:
+        varying |= k ^ first
+    if varying.bit_count() > 24:
+        raise ValueError(f"the set varies on {varying.bit_count()} coordinates; the "
+                         "constant-weight translate search covers at most 24")
+    v = varying
+    while any((k ^ v).bit_count() != (first ^ v).bit_count() for k in keys):
+        if not v:
+            return False
+        v = (v - 1) & varying  # the next submask of the varying columns
+    return True
 
 
 def _bit_lookup(bit_img: Sequence[int]) -> list[int]:

@@ -215,3 +215,30 @@ def pair_distances(code) -> tuple[list, list]:
             if i < j:
                 counts[d] += 1
     return counts, far
+
+
+def even_weight_lp_table(n: int, lam: int) -> tuple[int, Fraction, str]:
+    """The even-weight LP bound's own four-case table (n >= 3), written
+    out in n rather than read off the plain table: (value, raw, formula id)."""
+    sigma = lam % 2
+    half = 1 << (n - 1)
+    mod = n % 4
+    if mod == 1:
+        raw, case = Fraction(half * (lam * n + 2 * lam - 4 + sigma), (n - 1) * (n + 3)), "a"
+    elif mod == 2:
+        raw, case = Fraction(half * (lam * n - 2), (n - 2) * (n + 2)), "b"
+    elif mod == 3:
+        raw, case = Fraction(half * (lam * n - 2 + sigma), (n - 1) * (n + 1)), "c"
+    else:
+        raw, case = Fraction(half * lam, n), "d"
+    return raw.numerator // raw.denominator, raw, f"lp_even({case})"
+
+
+def constant_weight_translate_scan(code) -> bool:
+    """Is some binary word at one distance from every word of the code?
+    Every word of the space is tried."""
+    n = code.space.n
+    keys = list(code.keys)
+    return not keys or any(
+        len({(k ^ v).bit_count() for k in keys}) == 1 for v in range(1 << n)
+    )

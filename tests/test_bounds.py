@@ -17,7 +17,7 @@ from hampack.bounds import (
     unitrade_min_cardinality,
 )
 from hampack.constructions import diagonal_unitrade, puncture_last
-from oracles import least_plain_unitrades
+from oracles import even_weight_lp_table, least_plain_unitrades
 
 
 class TestSpherePacking:
@@ -150,6 +150,14 @@ class TestLpBound:
         assert lp_bound_even(9, 2).formula_id == "lp_even(a)"
         assert lp_bound_even(8, 1).value == 16
         assert lp_bound_even(8, 1).formula_id == "lp_even(d)"
+
+    def test_even_weight_matches_its_own_table(self):
+        # the even-weight bound is the plain table one coordinate longer;
+        # the oracle keeps the even-weight table written out in n
+        for n in range(3, 201):
+            for lam in range(1, 13):
+                b = lp_bound_even(n, lam)
+                assert (b.value, b.raw, b.formula_id) == even_weight_lp_table(n, lam), (n, lam)
 
     def test_extension_consistency(self):
         # appending a parity bit preserves the fold, so the plain bound at

@@ -1,6 +1,7 @@
 """Every explicit construction, checked against its defining properties."""
 
 import random
+import re
 
 import pytest
 
@@ -180,6 +181,11 @@ class TestLStar:
 
     def test_n6_card_10(self):
         assert len(con.l_star(6)) == 10
+
+    @pytest.mark.parametrize("n", [6.0, True, "6", 5, 4])
+    def test_length_must_be_an_even_int_of_at_least_6(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
+            con.l_star(n)
 
     def test_unitrade_and_nonbipartite(self):
         for n in (6, 8, 10):

@@ -267,6 +267,12 @@ class TestPropelinear:
         with pytest.raises(ValueError):
             PropelinearMap(bword("00"), (0, 0))
 
+    @pytest.mark.parametrize("entry", [5, 2, -1, 1.0, True])
+    def test_cycle_entries_must_be_coordinates(self, entry):
+        # -1 would otherwise be read as the last coordinate
+        with pytest.raises(ValueError, match=f"cycle entry {entry!r} is not a coordinate"):
+            PropelinearMap.from_cycles("01", [(0, entry)], 2)
+
 
 class TestMixedMatrixFormat:
     def test_shape_mismatch(self):

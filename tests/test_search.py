@@ -53,6 +53,7 @@ from hampack.search import (
     max_twofold_packing_size,
     min_extended_unitrade_size,
 )
+from oracles import constant_weight_translate_scan
 
 
 def random_isometry(rng, code: Code) -> Code:
@@ -269,7 +270,7 @@ class TestCanonicalForm:
                 image = random_isometry(rng, a).keys
                 assert _canonical_search(image, 10, target) == _canonical_search(image, 10)
 
-    @pytest.mark.parametrize("name, plain", [("linear_c4", 2), ("l_star_10", 3)])
+    @pytest.mark.parametrize("name, plain", [("linear_c4", 2), ("l_star_10", 2)])
     def test_same_class_hint_stops_after_one_translate(self, pair_linear, name, plain):
         t = pair_linear[1] if name == "linear_c4" else con.l_star(10)
         image = random_isometry(random.Random(50), t).keys
@@ -366,7 +367,8 @@ class TestAreEquivalent:
 
     def test_rank_rejects_before_canonical_search(self, all_pairs, monkeypatch):
         # the three 32-word classes of length 8, and the three C0 codes,
-        # agree in size and distance profile and differ in rank
+        # agree in size and distance profile and differ in rank, which is
+        # checked first: no pair runs a pair pass
         rng = random.Random(45)
         classes = classify_extended_unitrades(SearchConfig(n=8))
         for family in ([c.representative for c in classes if c.cardinality == 32],
@@ -377,10 +379,27 @@ class TestAreEquivalent:
             assert len({_difference_rank(t.keys, t.space.n) for t in images}) == 3
             assert len({tuple(_column_profile(t.keys, t.space.n)) for t in images}) == 1
             searches = count_calls(monkeypatch, search, "_canonical_search")
+            passes = count_calls(monkeypatch, analysis, "_pair_pass")
             search._invariants.cache_clear()
             for a, b in permutations(images, 2):
                 assert not are_equivalent(a, b)
-            assert searches == []
+            assert searches == passes == []
+            monkeypatch.undo()
+
+    def test_profile_rejects_equal_ranks_before_canonical_search(self, pair_linear, monkeypatch):
+        # the rank-5 C0 code and the diagonal unitrade of length 10 agree in
+        # size, column weights and rank; only the distance profile tells them apart
+        rng = random.Random(57)
+        a, b = (random_isometry(rng, t) for t in (pair_linear[0], con.diagonal_unitrade(10)))
+        assert len(a) == len(b) == 32
+        assert _column_profile(a.keys, 10) == _column_profile(b.keys, 10)
+        assert _difference_rank(a.keys, 10) == _difference_rank(b.keys, 10) == 5
+        search._invariants.cache_clear()
+        searches = count_calls(monkeypatch, search, "_canonical_search")
+        passes = count_calls(monkeypatch, analysis, "_pair_pass")
+        for x, y in ((a, b), (b, a)):
+            assert not are_equivalent(x, y)
+        assert searches == [] and len(passes) == 2
 
     def test_cached_repeat_runs_no_rank_elimination(self, monkeypatch):
         calls = []
@@ -534,6 +553,30 @@ class TestClassifySmall:
         assert has_constant_weight_translate(con.l_star(6))
         with pytest.raises(ValueError, match="defined for q=2 only"):
             has_constant_weight_translate(con.mds_code(3, 3))
+
+    def test_constant_weight_translate_matches_the_full_scan(self):
+        # random sets with constant columns: the scan over the varying
+        # coordinates answers as the scan over the whole space does
+        rng = random.Random(56)
+        answers = {True: 0, False: 0}
+        for n in range(1, 13):
+            for _ in range(30):
+                varying = rng.sample(range(n), rng.randrange(1, n + 1))
+                base = rng.randrange(1 << n)
+                keys = {base ^ sum(rng.randrange(2) << b for b in varying)
+                        for _ in range(rng.randrange(1, 8))}
+                code = Code.from_bits(Space(n, 2), sorted(keys))
+                answer = has_constant_weight_translate(code)
+                assert answer == constant_weight_translate_scan(code), (n, sorted(keys))
+                answers[answer] += 1
+        assert min(answers.values()) > 20
+
+    def test_constant_weight_translate_scans_the_varying_coordinates(self):
+        # {0, 1, 3} varies on 2 of 40 coordinates: 4 words are tried, not 2^40
+        assert not has_constant_weight_translate(Code.from_bits(Space(40, 2), [0, 1, 3]))
+        assert has_constant_weight_translate(Code.from_bits(Space(40, 2), [0, 3 << 20]))
+        with pytest.raises(ValueError, match="varies on 25 coordinates"):
+            has_constant_weight_translate(Code.from_bits(Space(40, 2), [0, (1 << 25) - 1]))
 
     def test_max_cardinality_filter(self):
         classes = classify_extended_unitrades(SearchConfig(n=8, max_cardinality=24))
