@@ -301,6 +301,7 @@ def _qary_ball_keys(n: int, q: int, key: bytes, r: int) -> Iterator[bytes]:
 def coverage_multiplicity(code: "Code", v: Word, r: int) -> int:
     """Multiset count of codewords within distance r of v."""
     _check_same_space(code, v)
+    _check_radius(code.space.n, r)
     return sum(1 for c in code if hamming_distance(c, v) <= r)
 
 

@@ -30,8 +30,10 @@ unit's: propagation commutes with G, so its subtree lists exactly the
 images of the kept unit's unitrades.  The split walks the search's own
 node, so it branches exactly as the search does.  The engine's marks
 are snapshots of its state, and each unit holds a snapshot of its own
-state; a unit is searched from it and replays no decision.  Serial
-runs, worker processes and checkpoints all search the kept units.  Of
+state; a unit is searched from it and replays no decision.  One
+function, ``_search_unit``, searches a unit from the run's parameters
+and its mark alone, here or in a worker process, and a checkpoint
+journal records each kept unit as it finishes.  Of
 the unitrades found, one per G-orbit is kept (bucketed by a G-invariant
 and tested against the kept ones); the nonbipartite filter then drops
 bipartite ones, since bipartiteness is an isometry invariant; and only
@@ -350,8 +352,8 @@ class _Engine:
     A mark is an immutable snapshot of the whole search state (word
     statuses, clique counters, the chosen-word and touched counts, the
     pending fronts); undoing to it writes the snapshot back.  Marks pickle,
-    so a search can resume from one in another engine of the same
-    parameters, in another process too.
+    so ``_search_unit`` resumes from one in an engine of its own with the
+    same parameters, in this process or in a worker.
     """
 
     UNDECIDED, IN, OUT = 0, 1, 2
@@ -532,26 +534,23 @@ def _node(engine: _Engine, out: list) -> Iterator[tuple[int, list[int]]]:
     engine.undo(frame)
 
 
-def _search(engine: _Engine, out: list) -> None:
-    """Exhaustive DFS from the current engine state, recording every
-    unitrade that extends it into ``out``.  An explicit stack of nodes
-    keeps the depth off the interpreter's call stack."""
+def _search_unit(
+    n: int, antipodal_only: bool, max_cardinality: Optional[int], start: tuple
+) -> tuple[list[tuple[int, ...]], int]:
+    """Every unitrade below the state ``start``, a mark of an engine of these
+    parameters, and the search nodes: an exhaustive DFS on an engine of its
+    own, so a worker process needs nothing but the arguments.  An explicit
+    stack of nodes keeps the depth off the interpreter's call stack."""
+    engine = _Engine(n, antipodal_only, max_cardinality)
+    engine.undo(start)
+    out: list[tuple[int, ...]] = []
     stack = [_node(engine, out)]
     while stack:
         if next(stack[-1], None) is not None:  # a child's decisions are applied
             stack.append(_node(engine, out))
         else:
             stack.pop()
-
-
-def _search_unit(engine: _Engine, start: tuple) -> tuple[list[tuple[int, ...]], int]:
-    """Every unitrade below the state ``start`` (a mark), and the search
-    nodes."""
-    engine.undo(start)
-    out: list[tuple[int, ...]] = []
-    nodes = engine.nodes
-    _search(engine, out)
-    return out, engine.nodes - nodes
+    return out, engine.nodes
 
 
 def _seeded_engine(
@@ -560,28 +559,6 @@ def _seeded_engine(
     """An engine in the seed's state; None if the seed breaks the cap."""
     engine = _Engine(n, antipodal_only, max_cardinality)
     return engine if all(engine.assign(idx, val) for idx, val in engine.seed_decisions()) else None
-
-
-def _enumerate_with_seed(
-    n: int, antipodal_only: bool = False, max_cardinality: Optional[int] = None
-) -> tuple[list[tuple[int, ...]], int]:
-    """Every unitrade below the seed, and the search nodes."""
-    engine = _seeded_engine(n, antipodal_only, max_cardinality)
-    return _search_unit(engine, engine.mark()) if engine is not None else ([], 0)
-
-
-# A worker process builds one engine when it starts and searches every
-# unit it is sent with it; the parent process never sets this.
-_worker_engine: Optional[_Engine] = None
-
-
-def _start_worker(n: int, antipodal_only: bool, max_cardinality: Optional[int]) -> None:
-    global _worker_engine
-    _worker_engine = _Engine(n, antipodal_only, max_cardinality)
-
-
-def _search_unit_in_worker(start: tuple) -> tuple[list[tuple[int, ...]], int]:
-    return _search_unit(_worker_engine, start)
 
 
 # ---------------------------------------------------------------------------
@@ -817,11 +794,13 @@ def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str
     generated, rejected and searched, and the search nodes of the units in
     this call.
 
-    ``cfg.threads`` sets how finely the tree is split; the units are
-    searched by at most that many worker processes, and by no more than
-    there are CPUs or units to search, which leaves the results alone."""
+    ``cfg.threads`` sets how finely the tree is split.  Each unit is one
+    ``_search_unit`` call on the run's parameters and the unit's mark, made
+    here or in a worker process: at most that many workers, and no more
+    than there are CPUs or units to search, which leaves the results alone."""
     counts = {"units": 0, "rejected": 0, "searched": 0, "nodes": 0}
-    engine = _seeded_engine(cfg.n, cfg.antipodal_only, cfg.max_cardinality)
+    params = (cfg.n, cfg.antipodal_only, cfg.max_cardinality)
+    engine = _seeded_engine(*params)
     if engine is None:
         return [], counts
     units, solutions, split_counts = _expand_units(engine, _UNITS_PER_THREAD * cfg.threads)
@@ -830,15 +809,13 @@ def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str
     found, journal = _open_journal(cfg, len(units)) if cfg.checkpoint_path else ({}, None)
     todo = [i for i in range(len(units)) if i not in found]
     workers = min(cfg.threads, os.cpu_count() or 1, len(todo))
-    with journal or nullcontext(), ProcessPoolExecutor(
-        max_workers=workers, initializer=_start_worker,
-        initargs=(cfg.n, cfg.antipodal_only, cfg.max_cardinality),
-    ) if workers > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    with journal or nullcontext(), pool or nullcontext():
         if pool:
-            futures = {pool.submit(_search_unit_in_worker, units[i].start): i for i in todo}
+            futures = {pool.submit(_search_unit, *params, units[i].start): i for i in todo}
             results = ((futures[f], f.result()) for f in as_completed(futures))
         else:
-            results = ((i, _search_unit(engine, units[i].start)) for i in todo)
+            results = ((i, _search_unit(*params, units[i].start)) for i in todo)
         for i, (sols, nodes) in results:  # as the units finish
             found[i] = sols
             counts["nodes"] += nodes

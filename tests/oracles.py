@@ -1,12 +1,15 @@
 """Independent readings that the tests hold the library's answers against.
 
 They read a code's space and keys, or only its length, and share no
-code with ``hampack``.
+code with ``hampack``.  The one exception is ``search_below_seed``, the
+classification's search run as one unit, which the split is held against.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+
+from hampack.search import _search_unit, _seeded_engine
 
 
 def halved_cube_reading(t_set) -> bool:
@@ -242,3 +245,12 @@ def constant_weight_translate_scan(code) -> bool:
     return not keys or any(
         len({(k ^ v).bit_count() for k in keys}) == 1 for v in range(1 << n)
     )
+
+
+def search_below_seed(n: int, antipodal_only: bool = False, max_cardinality=None) -> tuple:
+    """Every unitrade below the seed, and the search nodes: the tree that
+    a classification splits into units, searched unsplit."""
+    engine = _seeded_engine(n, antipodal_only, max_cardinality)
+    if engine is None:
+        return [], 0
+    return _search_unit(n, antipodal_only, max_cardinality, engine.mark())

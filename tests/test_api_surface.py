@@ -1,0 +1,144 @@
+"""Documented refusals and public dunders that the module tests do not
+reach: each refusal raises its own message, and each dunder gives the
+answer that its plain reading gives."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hampack import constructions as con
+from hampack.analysis import (
+    is_antipodal,
+    is_bipartite_unitrade,
+    is_extended_unitrade,
+    oa_strength1_check,
+    pair_profile,
+    verify_packing,
+)
+from hampack.bounds import SpectrumBoundInput, lp_bound
+from hampack.core import Code, Space, Word
+from hampack.linalg import BinaryMatrix, MixedWord, gf2_rank, gf2_span, group_closure
+from hampack.partitions import (
+    IntersectionMatrix,
+    distance_partition,
+    partition_from_unitrade,
+    split_distance3_cell,
+)
+from hampack.search import canonical_form
+
+TERNARY = Code.from_strings(["012", "120"], 3)
+
+
+def binary(*texts: str) -> Code:
+    return Code.from_strings(texts, 2)
+
+
+REFUSALS = {
+    "canonical-form-q3": (lambda: canonical_form(TERNARY), "implemented for q=2 only"),
+    "canonical-form-repeat": (lambda: canonical_form(binary("00", "00")), "multiplicity-free"),
+    "word-key-past-2^n": (lambda: Word(Space(3, 2), 8), "binary word key out of range"),
+    "word-short-key": (lambda: Word(Space(3, 3), b"\0\1"), "length does not match space"),
+    "word-symbol-past-q": (lambda: Word(Space(2, 3), b"\0\3"), "symbol out of alphabet range"),
+    "is-antipodal-q3": (lambda: is_antipodal(TERNARY), "antipodality is defined for q=2"),
+    "oa-strength1-q3": (lambda: oa_strength1_check(TERNARY), "balance check is defined for q=2"),
+    "pair-profile-q3": (lambda: pair_profile(TERNARY), "pair profiles are defined for q=2"),
+    "extended-unitrade-q3": (lambda: is_extended_unitrade(TERNARY),
+                             "extended unitrades are defined for q=2"),
+    "extend-parity-q3": (lambda: con.extend_parity(TERNARY), "parity extension is defined for q=2"),
+    "gf2-rank-q3": (lambda: gf2_rank(TERNARY), "gf2_rank requires q=2"),
+    "gf2-span-q3": (lambda: gf2_span(TERNARY.words), "gf2_span requires q=2"),
+    "binary-matrix-q3": (lambda: BinaryMatrix(TERNARY.words), "BinaryMatrix requires q=2"),
+    "spectrum-negative-alpha": (lambda: SpectrumBoundInput(3, Fraction(-1), 1, 8),
+                                "alpha must be nonnegative"),
+    "coset-union-rep-count": (
+        lambda: con.hamming_coset_union(3, 2, [Word.from_string("0000", 3)]),
+        "expected 2 representatives, got 1",
+    ),
+    "puncture-length-1": (lambda: con.puncture_last(binary("0", "1")), "cannot puncture length-1"),
+    "partition-empty-code": (lambda: distance_partition(Code(Space(4, 2), [])),
+                             "partition of an empty code is undefined"),
+    "partition-two-spaces": (lambda: split_distance3_cell(binary("0000"), binary("00000")),
+                             "codes live in different spaces"),
+    "partition-covering-radius-2": (
+        lambda: split_distance3_cell(binary("0000", "1111"), binary("0000")),
+        "covering radius < 3",
+    ),
+    "partition-length-8": (lambda: partition_from_unitrade(con.diagonal_unitrade(8)),
+                           "specific to length 10"),
+    "partition-length-23": (lambda: distance_partition(Code.from_bits(Space(23, 2), [0])),
+                            "supported up to n=22"),
+    "partition-not-tridiagonal": (
+        lambda: IntersectionMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0))).intersection_array(),
+        "requires a tridiagonal matrix",
+    ),
+    "group-closure-empty": (lambda: group_closure([]), "at least one generator"),
+    "code-from-no-strings": (lambda: Code.from_strings([], 2), "cannot infer the space"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal(name):
+    call, fragment = REFUSALS[name]
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+class TestVerdictTruth:
+    def test_check_result_is_its_verdict(self):
+        # without __bool__ a dataclass is always truthy, so every
+        # `if is_extended_unitrade(...)` would pass
+        assert is_extended_unitrade(con.diagonal_unitrade(4))
+        assert not is_extended_unitrade(binary("0000", "0011"))
+
+    def test_bipartition_is_its_verdict(self):
+        assert is_bipartite_unitrade(con.diagonal_unitrade(6), extended=True)
+        assert not is_bipartite_unitrade(con.l_star(6), extended=True)
+
+    def test_bound_result_int_is_its_value(self):
+        for n, lam in ((10, 2), (9, 2), (7, 1)):
+            bound = lp_bound(n, lam)
+            assert int(bound) == bound.value and type(int(bound)) is int
+
+
+class TestWordOperators:
+    def test_order_is_the_digit_string_order(self):
+        for q in (2, 3):
+            words = list(Space(3, q))
+            for a in words:
+                for b in words:
+                    assert (a < b) == (str(a) < str(b)) and (a <= b) == (str(a) <= str(b))
+
+    def test_order_across_spaces_is_refused(self):
+        a, b = Word(Space(3, 2), 0), Word(Space(4, 2), 0)
+        for compare in (lambda: a < b, lambda: a <= b):
+            with pytest.raises(ValueError, match="space mismatch"):
+                compare()
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_negation_and_difference_are_symbolwise_mod_q(self, q):
+        rng = random.Random(q)
+        for _ in range(30):
+            x = Word.from_symbols([rng.randrange(q) for _ in range(5)], q)
+            y = Word.from_symbols([rng.randrange(q) for _ in range(5)], q)
+            assert (-x).symbols == tuple((-s) % q for s in x.symbols)
+            assert (x - y).symbols == tuple((a - b) % q for a, b in zip(x.symbols, y.symbols))
+            assert x - y + y == x
+
+
+class TestText:
+    def test_packing_report_str(self):
+        assert str(verify_packing(binary("000", "111"), 1, 1)) == (
+            "max_coverage=1 (<= lambda=1), witness=000, duplicates=0")
+        assert str(verify_packing(binary("000", "001", "001"), 2, 1)) == (
+            "max_coverage=3 (> lambda=2), witness=000, duplicates=1")
+
+    def test_code_repr(self):
+        assert repr(binary("000", "111")) == "Code(n=3, q=2, size=2)"
+        assert repr(Code(Space(4, 5), [])) == "Code(n=4, q=5, size=0)"
+
+    def test_mixed_word_text_round_trip(self):
+        for text in ("01|0123", "|32", "1|"):
+            word = MixedWord.from_string(text)
+            assert str(word) == text and MixedWord.from_string(str(word)) == word
+        assert MixedWord.from_string("10|31") == MixedWord((1, 0), (3, 1))

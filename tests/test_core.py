@@ -224,6 +224,15 @@ class TestCoverage:
                 independent = sum(1 for k in keys if k in ball_keys)
                 assert coverage_multiplicity(code, v, r) == independent
 
+    def test_radius_is_checked(self):
+        # r = -1 used to count nothing, True counted as 1, and 1.5 and 9
+        # were read as distances
+        code = Code.from_strings(["000", "111"], 2)
+        for r in (-1, True, 1.5, 4, 9):
+            with pytest.raises(ValueError, match="radius must be an int in 0..3"):
+                coverage_multiplicity(code, bword("100"), r)
+        assert coverage_multiplicity(code, bword("100"), 3) == 2
+
 
 class TestAntipode:
     def test_basic(self):

@@ -6,9 +6,10 @@ import json
 import random
 import re
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from multiprocessing import get_context
 from types import SimpleNamespace
 
 import pytest
@@ -36,12 +37,10 @@ from hampack.search import (
     _canonical_search,
     _column_profile,
     _difference_rank,
-    _enumerate_with_seed,
     _max_packing_search,
     _node,
     _packing_tables,
     _run_enumeration,
-    _search,
     _search_unit,
     _seed_group,
     _seeded_engine,
@@ -53,7 +52,7 @@ from hampack.search import (
     max_twofold_packing_size,
     min_extended_unitrade_size,
 )
-from oracles import constant_weight_translate_scan
+from oracles import constant_weight_translate_scan, search_below_seed
 
 
 def random_isometry(rng, code: Code) -> Code:
@@ -159,7 +158,7 @@ def oracle_classes(n: int) -> tuple[EquivalenceClass, ...]:
     enumeration, with no group filtering, and flags from the public checks."""
     space = Space(n, 2)
     classes = []
-    for keys in {_canonical_search(sol, n)[0] for sol in _enumerate_with_seed(n)[0]}:
+    for keys in {_canonical_search(sol, n)[0] for sol in search_below_seed(n)[0]}:
         rep = Code.from_bits(space, keys)
         kind = reducibility_certificate(rep).kind
         classes.append(EquivalenceClass(
@@ -626,11 +625,11 @@ class TestClassifySmall:
 
     def test_search_nodes_with_cardinality_cap(self):
         # without the touched-clique bound this run visited 501 nodes
-        out, nodes = _enumerate_with_seed(8, max_cardinality=16)
+        out, nodes = search_below_seed(8, max_cardinality=16)
         assert {len(t) for t in out} == {16}
         assert nodes == 321 and nodes < 501
         # without a cap nothing is cut
-        assert _enumerate_with_seed(8)[1] == 718
+        assert search_below_seed(8)[1] == 718
 
     @pytest.mark.parametrize("kw,count,nodes,digest", [
         ({}, 218, 718, "c79ea78f9f1e0b21"),
@@ -640,7 +639,7 @@ class TestClassifySmall:
     def test_solution_order(self, kw, count, nodes, digest):
         # a digest of the solution list pins the order in which the DFS
         # visits its nodes, not only what it finds
-        solutions, visited = _enumerate_with_seed(8, **kw)
+        solutions, visited = search_below_seed(8, **kw)
         assert (len(solutions), visited) == (count, nodes)
         assert hashlib.sha256(repr(solutions).encode()).hexdigest()[:16] == digest
 
@@ -649,7 +648,7 @@ class TestClassifySmall:
             raise AssertionError("the search changed the process-wide recursion limit")
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-        assert _enumerate_with_seed(8)[1] == 718
+        assert search_below_seed(8)[1] == 718
         assert min_extended_unitrade_size(8) == 16
 
     def test_unit_rejection_work_counts(self):
@@ -734,23 +733,21 @@ class TestEngine:
                              + [(10, "antipodal")])
     def test_units_resume_like_a_replay_from_the_seed(self, n, kind):
         kw = ENGINE_KINDS[kind]
-        # smaller splits leave units at n = 6, where the default target
-        # splits the whole tree; a target of 1 keeps the seed itself (too
-        # slow to search twice at n = 10)
+        # a unit's mark is the state that replaying its decisions from the
+        # seed reaches, and a unit search starts from that mark alone.
+        # Smaller splits leave units at n = 6, where the default target
+        # splits the whole tree; a target of 1 keeps the seed itself
         checked = 0
-        for target in (1, 2, _UNITS_PER_THREAD) if n < 10 else (_UNITS_PER_THREAD,):
+        for target in (1, 2, _UNITS_PER_THREAD):
             engine = _seeded_engine(n, **kw)
             units = _expand_units(engine, target)[0]
-            # the shared engine is left wherever the last unit ended
-            for unit in reversed(units):
-                fresh, out = _Engine(n, **kw), []
+            for unit in units:
+                fresh = _Engine(n, **kw)
                 replay = [*fresh.seed_decisions(), *unit.decisions]
                 assert all(fresh.assign(idx, val) for idx, val in replay)
                 for field, replayed, stored in zip(MARK_FIELDS, fresh.mark(), unit.start,
                                                    strict=True):
                     assert replayed == stored, (target, unit.decisions, field)
-                _search(fresh, out)
-                assert _search_unit(engine, unit.start) == (out, fresh.nodes)
                 checked += 1
         assert checked
 
@@ -791,12 +788,13 @@ class TestEngine:
         # each of these trees to the leaves, leaving no unit)
         kw = ENGINE_KINDS[kind]
         form = lru_cache(maxsize=None)(lambda sol: _canonical_search(sol, n)[0])
-        expected = set(map(form, _enumerate_with_seed(n, **kw)[0]))
+        expected = set(map(form, search_below_seed(n, **kw)[0]))
         for target in (1, 2, 8, 32, 64):
             engine = _seeded_engine(n, **kw)
             units, found, _ = _expand_units(engine, target)
             for unit in units:
-                found += _search_unit(engine, unit.start)[0]
+                found += _search_unit(n, engine.antipodal_only, engine.max_cardinality,
+                                      unit.start)[0]
             assert set(map(form, found)) == expected, target
 
 
@@ -820,7 +818,7 @@ class TestSeedGroup:
 
     def test_sieve_matches_orbit_minimal_filter(self):
         tables = pair_permutation_tables(8)
-        solutions = _enumerate_with_seed(8)[0]
+        solutions = search_below_seed(8)[0]
         sieve = _OrbitSieve(8)
         kept = [s for s in solutions if sieve.is_new((s,))]
         assert len(kept) == sum(orbit_minimal(s, tables) for s in solutions) == 9
@@ -889,9 +887,8 @@ def serial_pool(monkeypatch):
     pool = SimpleNamespace(sizes=[], cpus=64)
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             pool.sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -915,6 +912,22 @@ class TestThreadsAndCheckpoints:
         two = classify_extended_unitrades(SearchConfig(n=6, threads=2))
         assert [c.representative for c in one] == [c.representative for c in two]
         assert [c.flags for c in one] == [c.flags for c in two]
+
+    def test_spawned_workers_match_the_serial_run(self, monkeypatch):
+        # a spawned worker starts a fresh interpreter and inherits no state
+        # of this process: the unit search and its arguments are all it gets
+        cfg, sizes = SearchConfig(n=8, threads=2), []
+
+        def spawn_pool(max_workers):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers, mp_context=get_context("spawn"))
+
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+        serial = _run_enumeration(cfg)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", spawn_pool)
+        assert _run_enumeration(cfg) == serial
+        assert sizes == [2] and serial[1]["nodes"] == 131
 
     def test_worker_pool_is_bounded_by_cpus_and_units(self, serial_pool, tmp_path):
         serial_pool.cpus = 1
