@@ -28,7 +28,8 @@ and blank lines are ignored.  Writers emit words in canonical order.
 
 Only this module turns symbols into keys and back (``_key_of``,
 ``_symbols_of``, ``_popcount_view``); other modules work on keys and
-never branch on a key's type.
+never branch on a key's type.  The exact packing oracle, for one,
+numbers words in key order and takes its balls from ``_ball_keys``.
 
 Input is checked at the boundary (``Word``, ``Word.from_*``, ``Code``,
 ``Code.from_*``, ``parse_code``).  Inside, ``_word(space, key)`` and

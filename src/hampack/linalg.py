@@ -33,6 +33,15 @@ from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _key_o
 GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
 
+def _check_ints(name: str, entries: tuple[int, ...], bound: int) -> None:
+    """The one check of a symbol or coordinate tuple: a tuple of ints in 0..bound-1."""
+    if type(entries) is not tuple:
+        raise ValueError(f"{name} must be a tuple of ints, got {entries!r}")
+    for x in entries:
+        if type(x) is not int or not 0 <= x < bound:
+            raise ValueError(f"{name} entry {x!r} is not an int in 0..{bound - 1}")
+
+
 # ---------------------------------------------------------------------------
 # GF(2) and GF(q) vector machinery
 # ---------------------------------------------------------------------------
@@ -165,10 +174,8 @@ class MixedWord:
     z4: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(s not in (0, 1) for s in self.z2):
-            raise ValueError("Z2 symbols must be 0 or 1")
-        if any(not 0 <= s <= 3 for s in self.z4):
-            raise ValueError("Z4 symbols must be in 0..3")
+        _check_ints("Z2 block", self.z2, 2)
+        _check_ints("Z4 block", self.z4, 4)
 
     @classmethod
     def from_string(cls, text: str) -> "MixedWord":
@@ -270,6 +277,7 @@ class PropelinearMap:
         n = self.translation.space.n
         if self.translation.space.q != 2:
             raise ValueError("propelinear maps are defined on binary spaces")
+        _check_ints("permutation", self.permutation, n)
         if sorted(self.permutation) != list(range(n)):
             raise ValueError("permutation is not a bijection of 0..n-1")
 

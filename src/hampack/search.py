@@ -61,17 +61,18 @@ realizable next word.
 branch-and-bound oracles over raw vertex sets; they certify exact
 maxima either by exhausting the tree or by meeting a proven upper bound
 (sphere-packing / LP), and they share no code with the constructions
-they are used to check.  Vertices are numbered by weight, then
-lexicographically, so the zero word comes first.  Translations act
-transitively on H(n, q) and map balls onto balls, and the stabilizer of
-the zero word is transitive on each weight, so every packing has an
-image whose least codeword is the zero word and whose second is the
-zero word again or the first word of some weight; only those are
-searched.  Codewords are placed in nondecreasing order, so once the
-next candidate is v, a vertex whose ball lies below v gains no more
-coverage and its spare room is lost; a node is cut when the room left
-cannot hold one more codeword than the best packing found.  The balls in
-that order are built once per (n, q, r) and kept for a few small spaces.
+they are used to check.  Vertices are numbered by weight, then in
+``core``'s key order (lexicographic), so the zero word comes first, and
+the balls are ``core``'s ``_ball_keys``.  Translations act transitively
+on H(n, q) and map balls onto balls, and the stabilizer of the zero
+word is transitive on each weight, so every packing has an image whose
+least codeword is the zero word and whose second is the zero word again
+or the first word of some weight; only those are searched.  Codewords
+are placed in nondecreasing order, so once the next candidate is v, a
+vertex whose ball lies below v gains no more coverage and its spare
+room is lost; a node is cut when the room left cannot hold one more
+codeword than the best packing found.  The balls in that order are
+built once per (n, q, r) and kept for a few small spaces.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations
-from math import comb
+from itertools import pairwise, permutations
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Optional, Sequence
 
@@ -92,7 +92,7 @@ from .analysis import (
     reducibility_certificate,
 )
 from .bounds import lp_bound, sphere_packing_bound
-from .core import Code, Space, _check_lambda, _code
+from .core import Code, Space, _ball_keys, _check_lambda, _code
 from .linalg import gf2_rank
 
 _MIN_N, _MAX_N = 4, 12
@@ -991,36 +991,21 @@ def _packing_tables(
     each vertex's radius-r ball in decreasing order, the vertices listed
     under their largest ball member, and each vertex's first vertex of
     the next weight (q^n past the last).  Vertex v is the v-th word in
-    weight-then-lexicographic order, so vertex 0 is the zero word.  The
-    balls hold q^n * |B_r| entries, so only a few small spaces are kept."""
-    size = q ** n
-    # word k is the k-th word in lexicographic order, so its digits are
-    # those of k in base q; the stable sort keeps that order in a weight
-    weight = [0] * size
-    for k in range(1, size):
-        weight[k] = weight[k // q] + (k % q != 0)
-    order = sorted(range(size), key=weight.__getitem__)
-    rank = [0] * size
-    for v, k in enumerate(order):
-        rank[k] = v
-    # a ball is grown by changing digits at increasing positions, one more
-    # per layer (moves[p][a]: the steps that change digit a at position p)
-    place = [q ** (n - 1 - p) for p in range(n)]
-    moves = [[[(d - a) * w for d in range(q) if d != a] for a in range(q)] for w in place]
-    balls = []
-    for k in order:
-        steps = [moves[p][k // w % q] for p, w in enumerate(place)]
-        ball, layer = [k], [(k, 0)]
-        for _ in range(r):
-            layer = [(u + s, p + 1)
-                     for u, first in layer for p in range(first, n) for s in steps[p]]
-            ball += [u for u, _ in layer]
-        balls.append(tuple(sorted(map(rank.__getitem__, ball), reverse=True)))
-    dying: list[list[int]] = [[] for _ in range(size)]
+    weight-then-key order (key order is lexicographic), so vertex 0 is the
+    zero word: ``core``'s ball walk from zero lists the words of weight w
+    at |B_(w-1)| .. |B_w| - 1, and a ball is the ranks of its ``_ball_keys``.
+    The balls hold q^n * |B_r| entries, so only a few small spaces are kept."""
+    space = Space(n, q)
+    words = list(_ball_keys(space, space.zero().key, n))
+    layers = list(pairwise([0, *map(space.ball_size, range(n + 1))]))
+    order = [k for start, end in layers for k in sorted(words[start:end])]
+    rank = {k: v for v, k in enumerate(order)}
+    balls = tuple(tuple(sorted(map(rank.__getitem__, _ball_keys(space, k, r)), reverse=True))
+                  for k in order)
+    dying: list[list[int]] = [[] for _ in order]
     for v, ball in enumerate(balls):
         dying[ball[0]].append(v)
-    ends = list(accumulate(comb(n, w) * (q - 1) ** w for w in range(n + 1)))
-    return tuple(balls), tuple(map(tuple, dying)), tuple(ends[weight[k]] for k in order)
+    return balls, tuple(map(tuple, dying)), tuple(end for start, end in layers for _ in range(start, end))
 
 
 def _max_packing_search(n: int, q: int, lam: int, r: int) -> tuple[int, int]:

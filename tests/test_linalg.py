@@ -273,8 +273,39 @@ class TestPropelinear:
         with pytest.raises(ValueError, match=f"cycle entry {entry!r} is not a coordinate"):
             PropelinearMap.from_cycles("01", [(0, entry)], 2)
 
+    @pytest.mark.parametrize("entry", [2.0, True, "2", 3, -1])
+    def test_permutation_entries_must_be_coordinates(self, entry):
+        # a float entry used to pass the bijection check and then fail in
+        # apply_propelinear with a TypeError from int << float
+        message = f"permutation entry {entry!r} is not an int in 0..2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PropelinearMap(bword("000"), (0, entry, 1))
+
+    def test_permutation_must_be_a_tuple(self):
+        # a list used to be accepted, and hash() of the map then raised TypeError
+        with pytest.raises(ValueError, match=r"permutation must be a tuple of ints, got \[0, 2, 1\]"):
+            PropelinearMap(bword("000"), [0, 2, 1])
+
 
 class TestMixedMatrixFormat:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             MixedMatrix(1, 2, (MixedWord((0, 1), (0,)),))
+
+
+class TestMixedWordFormat:
+    @pytest.mark.parametrize("z2,z4,bad", [((0,), (2.0,), "Z4 block entry 2.0 is not an int in 0..3"),
+                                           ((True,), (1,), "Z2 block entry True is not an int in 0..1"),
+                                           ((1.0,), (), "Z2 block entry 1.0 is not an int in 0..1"),
+                                           ((2,), (), "Z2 block entry 2 is not an int in 0..1"),
+                                           ((0,), (4,), "Z4 block entry 4 is not an int in 0..3"),
+                                           ((), (-1,), "Z4 block entry -1 is not an int in 0..3")])
+    def test_symbols_must_be_ints(self, z2, z4, bad):
+        # MixedWord((0,), (2.0,)) used to print as 0|2.0, which from_string refuses
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            MixedWord(z2, z4)
+
+    @pytest.mark.parametrize("z2,z4", [([0], (1,)), ((0,), [1])])
+    def test_blocks_must_be_tuples(self, z2, z4):
+        with pytest.raises(ValueError, match="block must be a tuple of ints"):
+            MixedWord(z2, z4)

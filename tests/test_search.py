@@ -1150,6 +1150,32 @@ def weight_order(space: Space) -> list[Word]:
     return sorted(space, key=lambda w: (weight(w), w.symbols))
 
 
+def spaces_of_size(low: int, high: int) -> list[tuple[int, int]]:
+    """Every (n, q) with low <= q^n <= high."""
+    return [(n, q) for q in range(2, MAX_Q + 1) for n in range(1, high.bit_length())
+            if low <= q**n <= high]
+
+
+def check_packing_tables(n: int, q: int, radii) -> None:
+    """Hold the packing tables against symbol tuples alone: the words
+    sorted by weight, then lexicographically, and each ball the vertices
+    whose symbols differ from the centre's in at most r places."""
+    words = sorted(product(range(q), repeat=n), key=lambda x: (n - x.count(0), x))
+    weights = [n - x.count(0) for x in words]
+    size = len(words)
+    distances = [bytes(sum(a != b for a, b in zip(x, y)) for y in words) for x in words]
+    for r in radii:
+        balls, dying, next_weight = _packing_tables.__wrapped__(n, q, r)
+        assert type(balls) is type(dying) is type(next_weight) is tuple
+        assert all(type(b) is tuple for b in balls) and all(type(d) is tuple for d in dying)
+        assert sum(map(len, dying)) == size
+        for v, row in enumerate(distances):
+            assert balls[v] == tuple(u for u in reversed(range(size)) if row[u] <= r), (n, q, r, v)
+            assert v in dying[balls[v][0]]
+            assert weights[next_weight[v] - 1] == weights[v]
+            assert next_weight[v] == size or weights[next_weight[v]] == weights[v] + 1
+
+
 def reference_max_packing(n: int, q: int, lam: int, r: int,
                           lexicographic: bool = False) -> tuple[int, int]:
     """The packing search without the room bound: the same vertex order
@@ -1258,17 +1284,13 @@ class TestMaxPacking:
         assert (info.misses, info.hits) == (1, 2)
         max_packing_size(3, 3, 1, 2)
         assert _packing_tables.cache_info().misses == 2
-        for n, q, r in ((3, 3, 1), (4, 2, 2), (2, 4, 0)):
-            balls, dying, next_weight = _packing_tables(n, q, r)
-            words = weight_order(Space(n, q))
-            index = {w: i for i, w in enumerate(words)}
-            assert type(balls) is type(dying) is type(next_weight) is tuple
-            assert all(type(b) is tuple for b in balls) and all(type(d) is tuple for d in dying)
-            for v, w in enumerate(words):
-                assert balls[v] == tuple(sorted((index[u] for u in ball(w, r)), reverse=True))
-                assert v in dying[balls[v][0]]
-                assert weight(words[next_weight[v] - 1]) == weight(w)
-                assert next_weight[v] == len(words) or weight(words[next_weight[v]]) == weight(w) + 1
+        for n, q in spaces_of_size(1, 256):
+            check_packing_tables(n, q, range(n + 1))
+
+    @pytest.mark.slow
+    def test_tables_at_larger_sizes(self):
+        for n, q in spaces_of_size(257, 1024):
+            check_packing_tables(n, q, sorted({1, 2, n}))
 
     def test_large_tables_are_built_per_call(self):
         max_packing_size(4, 2, 3, 1)
