@@ -42,6 +42,12 @@ def _check_ints(name: str, entries: tuple[int, ...], bound: int) -> None:
             raise ValueError(f"{name} entry {x!r} is not an int in 0..{bound - 1}")
 
 
+def _check_rows(rows: tuple, kind: type) -> None:
+    """The one check of a matrix's rows: a tuple of ``kind`` instances."""
+    if type(rows) is not tuple or not all(isinstance(r, kind) for r in rows):
+        raise ValueError(f"rows must be a tuple of {kind.__name__}s, got {rows!r}")
+
+
 # ---------------------------------------------------------------------------
 # GF(2) and GF(q) vector machinery
 # ---------------------------------------------------------------------------
@@ -53,6 +59,7 @@ class BinaryMatrix:
     rows: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        _check_rows(self.rows, Word)
         if self.rows:
             space = self.rows[0].space
             if space.q != 2:
@@ -204,6 +211,11 @@ class MixedMatrix:
     rows: tuple[MixedWord, ...]
 
     def __post_init__(self) -> None:
+        for name in ("binary_cols", "quaternary_cols"):
+            cols = getattr(self, name)
+            if type(cols) is not int or cols < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {cols!r}")
+        _check_rows(self.rows, MixedWord)
         for r in self.rows:
             if len(r.z2) != self.binary_cols or len(r.z4) != self.quaternary_cols:
                 raise ValueError("row shape does not match the declared column counts")
@@ -274,9 +286,10 @@ class PropelinearMap:
     permutation: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.translation.space.n
-        if self.translation.space.q != 2:
-            raise ValueError("propelinear maps are defined on binary spaces")
+        t = self.translation
+        if not isinstance(t, Word) or t.space.q != 2:
+            raise ValueError(f"translation must be a binary Word, got {t!r}")
+        n = t.space.n
         _check_ints("permutation", self.permutation, n)
         if sorted(self.permutation) != list(range(n)):
             raise ValueError("permutation is not a bijection of 0..n-1")

@@ -33,7 +33,10 @@ are snapshots of its state, and each unit holds a snapshot of its own
 state; a unit is searched from it and replays no decision.  One
 function, ``_search_unit``, searches a unit from the run's parameters
 and its mark alone, here or in a worker process, and a checkpoint
-journal records each kept unit as it finishes.  Of
+journal records each kept unit as it finishes.  A run that starts no
+worker process (one thread, one CPU, or one unit left to search)
+imports no multiprocessing module, and with one thread it does not ask
+for the CPU count.  Of
 the unitrades found, one per G-orbit is kept (bucketed by a G-invariant
 and tested against the kept ones); the nonbipartite filter then drops
 bipartite ones, since bipartiteness is an isometry invariant; and only
@@ -79,7 +82,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -808,12 +810,16 @@ def _run_enumeration(cfg: SearchConfig) -> tuple[list[tuple[int, ...]], dict[str
 
     found, journal = _open_journal(cfg, len(units)) if cfg.checkpoint_path else ({}, None)
     todo = [i for i in range(len(units)) if i not in found]
-    workers = min(cfg.threads, os.cpu_count() or 1, len(todo))
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    workers = min(cfg.threads, os.cpu_count() or 1, len(todo)) if cfg.threads > 1 else 1
+    pool = None
+    if workers > 1:  # only a run that starts workers loads the pool modules
+        import concurrent.futures as cf
+
+        pool = cf.ProcessPoolExecutor(workers)
     with journal or nullcontext(), pool or nullcontext():
         if pool:
-            futures = {pool.submit(_search_unit, *params, units[i].start): i for i in todo}
-            results = ((futures[f], f.result()) for f in as_completed(futures))
+            pending = {pool.submit(_search_unit, *params, units[i].start): i for i in todo}
+            results = ((pending[f], f.result()) for f in cf.as_completed(pending))
         else:
             results = ((i, _search_unit(*params, units[i].start)) for i in todo)
         for i, (sols, nodes) in results:  # as the units finish

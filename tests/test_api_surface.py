@@ -18,7 +18,15 @@ from hampack.analysis import (
 )
 from hampack.bounds import SpectrumBoundInput, lp_bound
 from hampack.core import Code, Space, Word
-from hampack.linalg import BinaryMatrix, MixedWord, gf2_rank, gf2_span, group_closure
+from hampack.linalg import (
+    BinaryMatrix,
+    MixedMatrix,
+    MixedWord,
+    PropelinearMap,
+    gf2_rank,
+    gf2_span,
+    group_closure,
+)
 from hampack.partitions import (
     IntersectionMatrix,
     distance_partition,
@@ -49,6 +57,25 @@ REFUSALS = {
     "gf2-rank-q3": (lambda: gf2_rank(TERNARY), "gf2_rank requires q=2"),
     "gf2-span-q3": (lambda: gf2_span(TERNARY.words), "gf2_span requires q=2"),
     "binary-matrix-q3": (lambda: BinaryMatrix(TERNARY.words), "BinaryMatrix requires q=2"),
+    "binary-matrix-row-list": (lambda: BinaryMatrix([Word.from_string("01", 2)]),
+                               "rows must be a tuple of Words"),
+    "binary-matrix-text-rows": (lambda: BinaryMatrix(("01",)), "rows must be a tuple of Words"),
+    "mixed-matrix-row-list": (lambda: MixedMatrix(1, 1, [MixedWord((0,), (1,))]),
+                              "rows must be a tuple of MixedWords"),
+    "mixed-matrix-text-rows": (lambda: MixedMatrix(1, 1, ("0|1",)),
+                               "rows must be a tuple of MixedWords"),
+    "mixed-matrix-float-cols": (lambda: MixedMatrix(1.0, 1, (MixedWord((0,), (1,)),)),
+                                "binary_cols must be an int >= 0, got 1.0"),
+    "mixed-matrix-negative-cols": (lambda: MixedMatrix(-1, 0, ()),
+                                   "binary_cols must be an int >= 0, got -1"),
+    "mixed-matrix-bool-cols": (lambda: MixedMatrix(0, True, ()),
+                               "quaternary_cols must be an int >= 0, got True"),
+    "propelinear-text-translation": (lambda: PropelinearMap("000", (0, 1, 2)),
+                                     "translation must be a binary Word, got '000'"),
+    "propelinear-no-translation": (lambda: PropelinearMap(None, (0,)),
+                                   "translation must be a binary Word, got None"),
+    "propelinear-ternary-translation": (lambda: PropelinearMap(TERNARY.words[0], (0, 1, 2)),
+                                        "translation must be a binary Word"),
     "spectrum-negative-alpha": (lambda: SpectrumBoundInput(3, Fraction(-1), 1, 8),
                                 "alpha must be nonnegative"),
     "coset-union-rep-count": (

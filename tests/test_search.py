@@ -1,13 +1,16 @@
 """Canonical forms, classification, and the exact search oracles."""
 
+import concurrent.futures
 import hashlib
 import inspect
 import json
 import random
 import re
+import subprocess
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import lru_cache
+from pathlib import Path
 from itertools import combinations, permutations, product
 from multiprocessing import get_context
 from types import SimpleNamespace
@@ -901,7 +904,7 @@ def serial_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: pool.cpus)
     return pool
 
@@ -912,6 +915,31 @@ class TestThreadsAndCheckpoints:
         two = classify_extended_unitrades(SearchConfig(n=6, threads=2))
         assert [c.representative for c in one] == [c.representative for c in two]
         assert [c.flags for c in one] == [c.flags for c in two]
+
+    def test_serial_runs_load_no_pool_modules(self):
+        # a fresh interpreter: only a run that starts workers may load them
+        code = f"""
+import os, sys
+sys.path.insert(0, {str(Path(search.__file__).parents[1])!r})
+import hampack, hampack.cli, hampack.search
+from hampack.search import SearchConfig, classify_extended_unitrades
+serial = classify_extended_unitrades(SearchConfig(n=6))
+os.cpu_count = lambda: 1
+assert serial and classify_extended_unitrades(SearchConfig(n=6, threads=4)) == serial
+loaded = sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+assert not loaded, loaded
+"""
+        run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+
+    def test_one_thread_does_not_ask_for_the_cpu_count(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("os.cpu_count() called")
+
+        serial = classify_extended_unitrades(SearchConfig(n=6))
+        monkeypatch.setattr(search.os, "cpu_count", cpu_count)
+        assert classify_extended_unitrades(SearchConfig(n=6, threads=1)) == serial
 
     def test_spawned_workers_match_the_serial_run(self, monkeypatch):
         # a spawned worker starts a fresh interpreter and inherits no state
@@ -925,7 +953,7 @@ class TestThreadsAndCheckpoints:
         monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
         serial = _run_enumeration(cfg)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", spawn_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
         assert _run_enumeration(cfg) == serial
         assert sizes == [2] and serial[1]["nodes"] == 131
 
@@ -956,7 +984,7 @@ class TestThreadsAndCheckpoints:
         serial_pool.cpus = 1
         serial = _run_enumeration(SearchConfig(n=8, threads=4))
         serial_pool.cpus = 64
-        monkeypatch.setattr(search, "as_completed", lambda futures: reversed(list(futures)))
+        monkeypatch.setattr(concurrent.futures, "as_completed", lambda futures: reversed(list(futures)))
         path = tmp_path / "order.ckpt"
         assert _run_enumeration(SearchConfig(n=8, threads=4, checkpoint_path=str(path))) == serial
         assert serial_pool.sizes == [4]
