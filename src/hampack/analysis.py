@@ -45,7 +45,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -54,14 +53,14 @@ from typing import Optional, Sequence
 
 from .core import (
     Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code,
-    _popcount_view, _word, hamming_distance,
+    _frozen, _popcount_view, _word, hamming_distance,
 )
 
 # ---------------------------------------------------------------------------
 # packing verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class PackingReport:
     """Exact maximum ball coverage of a code, with a witness vertex."""
 
@@ -121,7 +120,7 @@ def verify_packing(code: Code, lam: int, r: int) -> PackingReport:
 # unitrade predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class CheckResult:
     """Boolean verdict plus, on failure, a witness ball center."""
 
@@ -178,7 +177,7 @@ def is_antipodal(t_set: Code) -> bool:
 # bipartiteness, components, reducibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class Bipartition:
     """2-coloring into distance-3 (distance-4) codes, or an odd-cycle refutation."""
 
@@ -336,7 +335,7 @@ def primary_components(t_set: Code, extended: bool) -> list[Code]:
     return pieces
 
 
-@dataclass(frozen=True)
+@_frozen
 class Reducibility:
     """Outcome of the concatenation-factorization test.
 
@@ -426,7 +425,7 @@ def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(krawtchouk(n, k, i) for i in range(n + 1)) for k in range(n + 1))
 
 
-@dataclass(frozen=True)
+@_frozen
 class DistanceData:
     """Exact distance/weight distributions of one code.
 
@@ -504,7 +503,7 @@ def inner_radius(t_set: Code) -> int:
     return min(_pair_pass(t_set.space, t_set.keys)[1])
 
 
-@dataclass(frozen=True)
+@_frozen
 class PairProfile:
     """Counts of distance-2 pairs of an extended unitrade by weight relation.
 

@@ -25,10 +25,9 @@ Bounds implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import _ball_size, _check_lambda
+from .core import _ball_size, _check_lambda, _frozen
 
 
 def _validate_params(n: int, q: int) -> None:
@@ -39,14 +38,14 @@ def _validate_params(n: int, q: int) -> None:
         raise ValueError(f"alphabet size must be an int of at least 2, got q={q!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class BoundResult:
     """An exact bound value with its provenance."""
 
     value: int
     raw: Fraction
     formula_id: str
-    assumptions: tuple[str, ...] = field(default_factory=tuple)
+    assumptions: tuple[str, ...] = ()
     vacuous: bool = False
 
     def __int__(self) -> int:
@@ -60,7 +59,7 @@ def sphere_packing_bound(n: int, q: int, lam: int, r: int) -> int:
     return lam * q**n // _ball_size(n, q, r)
 
 
-@dataclass(frozen=True)
+@_frozen
 class SpectrumBoundInput:
     """Inputs to the regular-graph bound: degree, eigenvalue floor, fold, size."""
 

@@ -23,12 +23,11 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import isqrt
 
-from .core import Code, Space, Word, _check_lambda, _code, _key_of, _symbols_of
+from .core import Code, Space, Word, _check_lambda, _code, _frozen, _key_of, _symbols_of
 from .linalg import (
     BinaryMatrix,
     MixedMatrix,
@@ -90,7 +89,7 @@ _ORBIT_SEEDS = (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class EmbeddedData:
     """Checked generator data behind the three 96-word constructions."""
 

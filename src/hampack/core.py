@@ -14,6 +14,10 @@ unitrade machinery, searches) consumes the value types defined here:
            one sorted tuple of keys, so equal codes compare equal and
            output is diffable; ``Code.words`` is built on first use
 
+``Space``, ``Word`` and the other modules' value types are immutable,
+made by ``_frozen`` without generated code: built by position or
+keyword, equal when of one type with equal fields, hashable, picklable.
+
 Multiplicities are kept on purpose: extremal arguments distinguish
 codes with repeated words, and verification reports duplicates rather
 than silently collapsing them.
@@ -43,10 +47,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, TextIO
 
 MAX_Q = 10         # digit-string I/O: one character per symbol
@@ -54,26 +58,69 @@ MAX_BINARY_N = 64  # binary fast path: one machine word of bits
 _DIGITS = b"0123456789"
 _TO_SYMBOLS = bytes.maketrans(_DIGITS, bytes(range(10)))
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), _DIGITS)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(cls: type) -> type:
+    """Make ``cls`` one of the value types described above; methods it defines are kept."""
+    names = tuple(cls.__annotations__)
+    slotted = "__slots__" in cls.__dict__  # then the class holds the slots, and no defaults
+    defaults = {} if slotted else {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+    fields, post = frozenset(names), cls.__dict__.get("__post_init__")
+    values = attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),)
+
+    def __init__(self, *args, **kwargs):
+        given = {} if slotted else self.__dict__
+        given.update(defaults)
+        given.update(zip(names, args))
+        if kwargs or len(args) != len(names):  # keywords, or a field given twice, never or too often
+            clash = len(args) > len(names) or not kwargs.keys().isdisjoint(names[:len(args)])
+            given.update(kwargs)
+            if clash or given.keys() != fields:
+                raise TypeError(f"{cls.__name__}() takes {names}; got {len(args)} positional and {sorted(kwargs)}")
+        if slotted:
+            for name in names:
+                _set(self, name, given[name])
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": lambda self: hash(values(self)),
+               "__repr__": __repr__, "__setattr__": __setattr__, "__delattr__": __setattr__,
+               "__reduce__": lambda self: (type(self), values(self)), "__match_args__": names}
+    for name, method in methods.items():
+        if cls.__dict__.get(name) is None:  # a class body with __eq__ alone sets __hash__ = None
+            setattr(cls, name, method)
+    return cls
+
+
+@_frozen
 class Space:
     """Parameters (n, q) of the Hamming graph H(n, q)."""
 
+    __slots__ = ("n", "q")
     n: int
     q: int
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.q) is not int:
-            raise ValueError(f"n and q must be ints, got n={self.n!r}, q={self.q!r}")
-        if self.n < 1:
-            raise ValueError(f"word length must be positive, got n={self.n}")
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got q={self.q}")
-        if self.q > MAX_Q:
-            raise ValueError(f"alphabet size {self.q} exceeds digit-string limit {MAX_Q}")
-        if self.q == 2 and self.n > MAX_BINARY_N:
-            raise ValueError(f"binary length {self.n} exceeds bit-packing limit {MAX_BINARY_N}")
+    def __init__(self, n: int, q: int) -> None:  # spelled out: spaces are built on every parse
+        if type(n) is not int or type(q) is not int:
+            raise ValueError(f"n and q must be ints, got n={n!r}, q={q!r}")
+        if n < 1:
+            raise ValueError(f"word length must be positive, got n={n}")
+        if q < 2:
+            raise ValueError(f"alphabet size must be at least 2, got q={q}")
+        if q > MAX_Q:
+            raise ValueError(f"alphabet size {q} exceeds digit-string limit {MAX_Q}")
+        if q == 2 and n > MAX_BINARY_N:
+            raise ValueError(f"binary length {n} exceeds bit-packing limit {MAX_BINARY_N}")
+        _set(self, "n", n)
+        _set(self, "q", q)
 
     @property
     def size(self) -> int:
@@ -102,7 +149,7 @@ class Space:
         return _word(self, _key_of(self, (0,) * self.n))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Word:
     """One vertex of H(n, q).
 
@@ -111,18 +158,18 @@ class Word:
     digit strings.
     """
 
+    __slots__ = ("space", "key")
     space: Space
     key: int | bytes
 
     def __post_init__(self) -> None:
         if self.space.q == 2:
-            if not isinstance(self.key, int) or not 0 <= self.key < (1 << self.space.n):
+            if type(self.key) is not int or not 0 <= self.key < (1 << self.space.n):
                 raise ValueError("binary word key out of range")
-        else:
-            if not isinstance(self.key, bytes) or len(self.key) != self.space.n:
-                raise ValueError("word length does not match space")
-            if any(s >= self.space.q for s in self.key):
-                raise ValueError("symbol out of alphabet range")
+        elif not isinstance(self.key, bytes) or len(self.key) != self.space.n:
+            raise ValueError("word length does not match space")
+        elif any(s >= self.space.q for s in self.key):
+            raise ValueError("symbol out of alphabet range")
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[int], q: int) -> "Word":
@@ -271,14 +318,15 @@ def _ball_keys(space: Space, key: int | bytes, r: int) -> Iterator[int | bytes]:
     """Keys of the words at distance <= r from ``key``, each exactly once:
     by distance, then by changed positions, then by symbol shifts."""
     n, q = space.n, space.q
-    if q == 2:  # at most 2,081 masks up to radius 2; larger balls are walked lazily
-        return map(key.__xor__, _flip_masks(n, r) if r <= 2 else _flip_walk(n, r))
+    if q == 2:
+        return map(key.__xor__, _flip_masks(n, r) or _flip_walk(n, r))
     return _qary_ball_keys(n, q, key, r)
 
 
 @lru_cache(maxsize=32)
 def _flip_masks(n: int, r: int) -> tuple[int, ...]:
-    return tuple(_flip_walk(n, r))
+    """The masks of a ball of at most 2,081 members (radius 2 at n = 64); () past that."""
+    return tuple(_flip_walk(n, r)) if _ball_size(n, 2, r) <= 2081 else ()
 
 
 def _flip_walk(n: int, r: int) -> Iterator[int]:
@@ -290,13 +338,19 @@ def _flip_walk(n: int, r: int) -> Iterator[int]:
 
 
 def _qary_ball_keys(n: int, q: int, key: bytes, r: int) -> Iterator[bytes]:
-    for k in range(r + 1):
+    """Each member is cut from slices of ``key`` and one-byte slices ``cycle[j:j + 1]`` (j mod q)."""
+    cycle = bytes(range(q)) * 2
+    yield key
+    if r:
+        yield from [key[:i] + cycle[j:j + 1] + key[i + 1:]
+                    for i in range(n) for j in range(key[i] + 1, key[i] + q)]
+    for k in range(2, r + 1):
         for positions in combinations(range(n), k):
-            for deltas in product(range(1, q), repeat=k):
-                syms = bytearray(key)
-                for i, d in zip(positions, deltas):
-                    syms[i] = (syms[i] + d) % q
-                yield bytes(syms)
+            pieces, end = [], n  # each changed symbol with the key up to the next change
+            for i in reversed(positions):
+                pieces.append([cycle[j:j + 1] + key[i + 1:end] for j in range(key[i] + 1, key[i] + q)])
+                end = i
+            yield from map(key[:end].__add__, map(b"".join, product(*reversed(pieces))))
 
 
 def coverage_multiplicity(code: "Code", v: Word, r: int) -> int:
@@ -371,7 +425,7 @@ class Code:
         if space.q != 2:
             raise ValueError("from_bits is available for q=2 only")
         keys, limit = list(keys), 1 << space.n
-        if not all(isinstance(k, int) and 0 <= k < limit for k in keys):
+        if not all(type(k) is int and 0 <= k < limit for k in keys):
             raise ValueError("binary word key out of range")
         return _code(space, keys)
 

@@ -25,10 +25,9 @@ which the embedded propelinear generators reproduce the documented
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _key_of, _word
+from .core import Code, Space, Word, _add_keys, _check_same_space, _code, _frozen, _key_of, _word
 
 GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
@@ -52,7 +51,7 @@ def _check_rows(rows: tuple, kind: type) -> None:
 # GF(2) and GF(q) vector machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class BinaryMatrix:
     """A list of binary words of common length, used as matrix rows."""
 
@@ -173,10 +172,11 @@ def _coset_union(group_code: Code, reps: Sequence[int | bytes]) -> Code:
 # Z2Z4-additive words and matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class MixedWord:
     """A word with a Z2 block (symbols mod 2) and a Z4 block (symbols mod 4)."""
 
+    __slots__ = ("z2", "z4")
     z2: tuple[int, ...]
     z4: tuple[int, ...]
 
@@ -202,7 +202,7 @@ class MixedWord:
         return "".join(map(str, self.z2)) + "|" + "".join(map(str, self.z4))
 
 
-@dataclass(frozen=True)
+@_frozen
 class MixedMatrix:
     """Rows of common Z2/Z4 shape; the generator form of a Z2Z4-additive code."""
 
@@ -278,10 +278,11 @@ def z4_module_span(gens: MixedMatrix | Sequence[MixedWord]) -> list[MixedWord]:
 # propelinear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class PropelinearMap:
     """x -> translation + pi(x), with (pi . x)[pi[i]] = x[i]."""
 
+    __slots__ = ("translation", "permutation")
     translation: Word
     permutation: tuple[int, ...]
 

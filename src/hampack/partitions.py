@@ -25,13 +25,12 @@ each set and count plane to 512 KiB, a boundary cell to 2^22 keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Code, Space, Word, _word
+from .core import Code, Space, Word, _frozen, _word
 
 MAX_PARTITION_N = 22
 
@@ -50,7 +49,7 @@ FIVE_CELL_MATRIX = (
 FIVE_CELL_SIZES = (32, 320, 480, 96, 96)
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntersectionMatrix:
     """The quotient matrix s_{i,j} of an equitable partition."""
 
@@ -86,7 +85,7 @@ class IntersectionMatrix:
         return b, c
 
 
-@dataclass(frozen=True)
+@_frozen
 class Partition:
     """Disjoint cells covering all 2^n vertices, with the matrix if equitable."""
 

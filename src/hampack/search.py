@@ -83,7 +83,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import pairwise, permutations
 from pathlib import Path
@@ -94,7 +93,7 @@ from .analysis import (
     reducibility_certificate,
 )
 from .bounds import lp_bound, sphere_packing_bound
-from .core import Code, Space, _ball_keys, _check_lambda, _code
+from .core import Code, Space, _ball_keys, _check_lambda, _code, _frozen
 from .linalg import gf2_rank
 
 _MIN_N, _MAX_N = 4, 12
@@ -567,7 +566,7 @@ def _seeded_engine(
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class SearchConfig:
     """Parameters of one classification run."""
 
@@ -598,7 +597,7 @@ class SearchConfig:
         }
 
 
-@dataclass(frozen=True)
+@_frozen
 class EquivalenceClass:
     """One equivalence class of extended unitrades, canonically represented."""
 

@@ -2,21 +2,33 @@
 reach: each refusal raises its own message, and each dunder gives the
 answer that its plain reading gives."""
 
+import copy
+import dataclasses
+import functools
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hampack import constructions as con
 from hampack.analysis import (
+    Bipartition,
+    CheckResult,
+    Reducibility,
+    distance_data,
     is_antipodal,
     is_bipartite_unitrade,
     is_extended_unitrade,
     oa_strength1_check,
     pair_profile,
+    reducibility_certificate,
     verify_packing,
 )
-from hampack.bounds import SpectrumBoundInput, lp_bound
+from hampack.bounds import BoundResult, SpectrumBoundInput, lp_bound
 from hampack.core import Code, Space, Word
 from hampack.linalg import (
     BinaryMatrix,
@@ -33,7 +45,7 @@ from hampack.partitions import (
     partition_from_unitrade,
     split_distance3_cell,
 )
-from hampack.search import canonical_form
+from hampack.search import SearchConfig, canonical_form, classify_extended_unitrades
 
 TERNARY = Code.from_strings(["012", "120"], 3)
 
@@ -46,6 +58,9 @@ REFUSALS = {
     "canonical-form-q3": (lambda: canonical_form(TERNARY), "implemented for q=2 only"),
     "canonical-form-repeat": (lambda: canonical_form(binary("00", "00")), "multiplicity-free"),
     "word-key-past-2^n": (lambda: Word(Space(3, 2), 8), "binary word key out of range"),
+    "word-bool-key": (lambda: Word(Space(3, 2), True), "binary word key out of range"),
+    "from-bits-bool-key": (lambda: Code.from_bits(Space(3, 2), [True, False]),
+                           "binary word key out of range"),
     "word-short-key": (lambda: Word(Space(3, 3), b"\0\1"), "length does not match space"),
     "word-symbol-past-q": (lambda: Word(Space(2, 3), b"\0\3"), "symbol out of alphabet range"),
     "is-antipodal-q3": (lambda: is_antipodal(TERNARY), "antipodality is defined for q=2"),
@@ -169,3 +184,133 @@ class TestText:
             word = MixedWord.from_string(text)
             assert str(word) == text and MixedWord.from_string(str(word)) == word
         assert MixedWord.from_string("10|31") == MixedWord((1, 0), (3, 1))
+
+
+# One sample of each value type, built by the library where it can be.
+VALUES = {
+    "Space": lambda: Space(3, 2),
+    "Word": lambda: Word(Space(3, 2), 5),
+    "BinaryMatrix": lambda: BinaryMatrix.from_strings(["011", "101"]),
+    "MixedWord": lambda: MixedWord((1,), (2, 3)),
+    "MixedMatrix": lambda: MixedMatrix.from_strings(["1|23", "0|11"]),
+    "PropelinearMap": lambda: PropelinearMap.from_cycles("010", [[0, 1]], 3),
+    "BoundResult": lambda: lp_bound(9, 2),
+    "SpectrumBoundInput": lambda: SpectrumBoundInput(3, Fraction(1, 2), 1, 8),
+    "PackingReport": lambda: verify_packing(binary("000", "001", "001"), 2, 1),
+    "CheckResult": lambda: is_extended_unitrade(binary("0000", "0011")),
+    "Bipartition": lambda: is_bipartite_unitrade(con.l_star(6), extended=True),
+    "Reducibility": lambda: reducibility_certificate(
+        con.concatenate(con.l_star(6), binary("10", "01"))),
+    "DistanceData": lambda: distance_data(binary("000", "011", "101")),
+    "PairProfile": lambda: pair_profile(con.diagonal_unitrade(4)),
+    "EmbeddedData": con.embedded_data,
+    "IntersectionMatrix": lambda: distance_partition(binary("000", "111")).matrix,
+    "Partition": lambda: distance_partition(binary("000", "111")),
+    "SearchConfig": lambda: SearchConfig(6, threads=2),
+    "EquivalenceClass": lambda: classify_extended_unitrades(SearchConfig(4))[0],
+}
+SLOTTED = {"Space", "Word", "MixedWord", "PropelinearMap"}
+
+
+def fields_of(value) -> tuple:
+    return tuple(type(value).__annotations__)
+
+
+@functools.cache
+def reference_class(cls: type) -> type:
+    """A class with the same name and fields that ``dataclasses`` makes: the oracle."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__annotations__, frozen=True)
+
+
+def reference(value):
+    return reference_class(type(value))(*[getattr(value, k) for k in fields_of(value)])
+
+
+class TestValueTypes:
+    def test_table_covers_every_value_type(self):
+        assert [type(VALUES[name]()).__name__ for name in VALUES] == list(VALUES)
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_repr_eq_and_hash_match_a_dataclass(self, name):
+        value, ref = VALUES[name](), reference(VALUES[name]())
+        assert repr(value) == repr(ref)
+        assert hash(value) == hash(ref)
+        assert value == VALUES[name]() and ref == reference(VALUES[name]())
+        others = [VALUES[other]() for other in VALUES if other != name]
+        assert [value == other for other in others] == [ref == reference(other) for other in others]
+        assert value != ref and ref != value
+        assert value.__match_args__ == fields_of(value)
+
+    def test_equal_fields_of_two_types_are_unequal(self):
+        a, b = BinaryMatrix(()), IntersectionMatrix(())
+        assert a.rows == b.entries and a != b and b != a
+        assert CheckResult(True, None) != Bipartition(True, None)
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, name):
+        value = VALUES[name]()
+        for field in fields_of(value):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert value == VALUES[name]()
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_pickle_and_copies_are_equal(self, name):
+        value = VALUES[name]()
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_keywords_and_positions_agree(self, name):
+        value = VALUES[name]()
+        fields = [getattr(value, k) for k in fields_of(value)]
+        by_keyword = type(value)(**dict(zip(fields_of(value), fields)))
+        assert type(value)(*fields) == by_keyword == value
+        assert type(value)(*fields[:1], **dict(zip(fields_of(value)[1:], fields[1:]))) == value
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_missing_extra_and_repeated_arguments_are_refused(self, name):
+        value = VALUES[name]()
+        cls, names = type(value), fields_of(value)
+        fields = [getattr(value, k) for k in names]
+        for call in (lambda: cls(), lambda: cls(*fields, None), lambda: cls(*fields, unknown=0),
+                     lambda: cls(*fields, **{names[0]: fields[0]}),
+                     lambda: cls(**dict(zip(names[1:], fields[1:])))):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_defaults_apply(self):
+        assert BoundResult(1, Fraction(1), "x") == BoundResult(1, Fraction(1), "x", (), False)
+        assert Reducibility("unknown", ()) == Reducibility("unknown", (), None, None)
+        assert SearchConfig(6) == SearchConfig(6, False, False, None, 1, None)
+        assert SearchConfig(n=6, threads=2).threads == 2 and SearchConfig(n=6).threads == 1
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_slotted_types_have_no_dict(self, name):
+        value = VALUES[name]()
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == fields_of(value)
+
+    def test_post_init_checks_run_for_every_call_shape(self):
+        with pytest.raises(ValueError, match="supported lengths"):
+            SearchConfig(n=5)
+        with pytest.raises(ValueError, match="supported lengths"):
+            SearchConfig(5, threads=1)
+        with pytest.raises(ValueError, match="out of range"):
+            Word(key=8, space=Space(3, 2))
+
+
+def test_library_imports_load_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: the value types are built without generated code
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(con.__file__).parents[1])!r})
+import hampack.cli, hampack.core, hampack.analysis, hampack.bounds, hampack.constructions
+import hampack.linalg, hampack.partitions, hampack.search
+loaded = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+assert not loaded, loaded
+"""
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

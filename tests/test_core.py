@@ -9,7 +9,10 @@ from hampack.core import (
     Code,
     Space,
     Word,
+    _ball_keys,
     _check_lambda,
+    _flip_masks,
+    _flip_walk,
     antipode,
     ball,
     coverage_multiplicity,
@@ -25,6 +28,20 @@ GEN1_ROW4 = "0101010111"
 
 def bword(s: str) -> Word:
     return Word.from_string(s, 2)
+
+
+def symbol_walk(center: list, q: int, r: int) -> list:
+    """The radius-r ball as symbol tuples: by distance, then by changed
+    positions, then by symbol shifts."""
+    walk = []
+    for k in range(r + 1):
+        for positions in combinations(range(len(center)), k):
+            for deltas in product(range(1, q), repeat=k):
+                s = center[:]
+                for i, d in zip(positions, deltas):
+                    s[i] = (s[i] + d) % q
+                walk.append(tuple(s))
+    return walk
 
 
 class TestSpace:
@@ -169,15 +186,23 @@ class TestBall:
             for q in (2, 3, 4):
                 center = [rng.randrange(q) for _ in range(n)]
                 for r in range(n + 1):
-                    expect = []
-                    for k in range(r + 1):
-                        for positions in combinations(range(n), k):
-                            for deltas in product(range(1, q), repeat=k):
-                                s = center[:]
-                                for i, d in zip(positions, deltas):
-                                    s[i] = (s[i] + d) % q
-                                expect.append(tuple(s))
+                    expect = symbol_walk(center, q, r)
                     assert [w.symbols for w in ball(Word.from_symbols(center, q), r)] == expect
+
+    def test_qary_walk_matches_the_symbol_walk_at_every_center(self):
+        for q in (3, 4, 5):
+            for n in range(1, 5):
+                for center in product(range(q), repeat=n):
+                    for r in range(n + 1):
+                        expect = [bytes(s) for s in symbol_walk(list(center), q, r)]
+                        assert list(_ball_keys(Space(n, q), bytes(center), r)) == expect
+
+    def test_binary_masks_are_the_flip_walk(self):
+        # kept up to 2,081 members (the radius-2 ball at n = 64), walked past it
+        for n, r in ((1, 1), (5, 2), (12, 3), (11, 11), (64, 2), (13, 13), (64, 3)):
+            walk = tuple(_flip_walk(n, r))
+            assert _flip_masks(n, r) == (walk if len(walk) <= 2081 else ())
+            assert tuple(_ball_keys(Space(n, 2), 0, r)) == walk
 
     def test_large_binary_ball_is_walked_lazily(self):
         words = ball(Space(64, 2).zero(), 64)  # 2^64 words
