@@ -5,18 +5,21 @@ Codes travel in the text format of the core module (stdin/stdout by
 default), reports are printed as plain text or JSON (``--json``), and
 nothing is randomized, so every output is reproducible bit for bit.
 
-Exit codes: 0 success, 1 verification failure (e.g. a claimed packing
-is not one, or a reconstruction does not validate), 2 usage errors.
+Exit codes: 0 success (also when the reader of stdout goes away early),
+1 verification failure (e.g. a claimed packing is not one, or a
+reconstruction does not validate), 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Optional
 
 from . import analysis, bounds, constructions, partitions, search
 from .core import Code, Space, _key_text, read_code, write_code
@@ -24,31 +27,33 @@ from .core import Code, Space, _key_text, read_code, write_code
 _WORD_LIST_LIMIT = 256
 
 
-def _open_input(path: Optional[str]) -> TextIO:
+def _open(path, mode: str, std):
+    """The file at ``path``, or the standard stream ``std`` for no path or ``-``; left open on exit."""
     if path is None or path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
+        return contextlib.nullcontext(std)
+    return open(path, mode, encoding="utf-8")
 
 
-def _read_input_code(path: Optional[str]) -> Code:
-    stream = _open_input(path)
-    try:
-        return read_code(stream)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+def _read(path: Optional[str]) -> Code:
+    with _open(path, "r", sys.stdin) as fh:
+        return read_code(fh)
 
 
-def _emit_code(code: Code, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        write_code(code, sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            write_code(code, fh)
+def _write(code: Code, path) -> None:
+    with _open(path, "w", sys.stdout) as fh:
+        write_code(code, fh)
+
+
+def _print_json(payload: dict, compact: bool = True, file=None) -> None:
+    print(json.dumps(payload, sort_keys=True, indent=None if compact else 2), file=file)
+
+
+def _witness(result) -> Optional[str]:
+    return str(result.witness) if result.witness is not None else None
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify, analyze, bound
 # ---------------------------------------------------------------------------
 
 def _packing_payload(args: argparse.Namespace, report: analysis.PackingReport) -> dict:
@@ -56,18 +61,17 @@ def _packing_payload(args: argparse.Namespace, report: analysis.PackingReport) -
         "lambda": args.lam,
         "r": args.r,
         "max_coverage": report.max_coverage,
-        "witness": str(report.witness) if report.witness is not None else None,
+        "witness": _witness(report),
         "is_lambda_fold": report.is_lambda_fold,
         "duplicate_words": [str(w) for w in report.duplicate_words],
     }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    code = _read_input_code(args.file)
+    code = _read(args.file)
     report = analysis.verify_packing(code, args.lam, args.r)
-    payload = {"n": code.space.n, "q": code.space.q, "size": len(code), **_packing_payload(args, report)}
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        _print_json({"n": code.space.n, "q": code.space.q, "size": len(code), **_packing_payload(args, report)})
     else:
         print(
             f"|C|={len(code)} in H({code.space.n},{code.space.q}): "
@@ -81,56 +85,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.is_lambda_fold else 1
 
 
-# ---------------------------------------------------------------------------
-# analyze
-# ---------------------------------------------------------------------------
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    code = _read_input_code(args.file)
-    report = analysis.verify_packing(code, args.lam, args.r)
-    payload: dict = {
-        "space": {"n": code.space.n, "q": code.space.q},
-        "size": len(code),
-        "packing": _packing_payload(args, report),
-    }
+    code = _read(args.file)
+    binary, size = code.space.q == 2, len(code)
+    packing = _packing_payload(args, analysis.verify_packing(code, args.lam, args.r))
     plain = analysis.is_unitrade(code)
-    payload["unitrade"] = {
-        "plain": {"ok": plain.ok, "witness": str(plain.witness) if plain.witness else None}
-    }
     extended = None
-    if code.space.q == 2:
+    if binary:
         try:
             ext = analysis.is_extended_unitrade(code)
-            extended = {"ok": ext.ok, "witness": str(ext.witness) if ext.witness else None}
+            extended = {"ok": ext.ok, "witness": _witness(ext)}
         except ValueError:
             extended = {"ok": False, "witness": None, "note": "mixed parity"}
-    payload["unitrade"]["extended"] = extended
-
     bipartite = None
     if extended is not None and extended["ok"]:
         bipartite = analysis.is_bipartite_unitrade(code, extended=True).bipartite
-    elif plain.ok and len(code) > 0:
+    elif plain.ok and size:
         bipartite = analysis.is_bipartite_unitrade(code, extended=False).bipartite
-    payload["bipartite"] = bipartite
-    payload["antipodal"] = analysis.is_antipodal(code) if code.space.q == 2 else None
-    payload["inner_radius"] = analysis.inner_radius(code) if len(code) else None
-
-    if len(code):
+    distributions = None
+    if size:
         data = analysis.distance_data(code)
-        payload["distributions"] = {
+        distributions = {
             "B": [str(b) for b in data.B],
             "B_dual": [str(b) for b in data.B_dual] if data.B_dual else None,
             "dual_nonnegative": data.dual_nonnegative() if data.B_dual else None,
         }
-    else:
-        payload["distributions"] = None
-    print(json.dumps(payload, sort_keys=True, indent=None if args.json else 2))
+    _print_json({
+        "space": {"n": code.space.n, "q": code.space.q},
+        "size": size,
+        "packing": packing,
+        "unitrade": {"plain": {"ok": plain.ok, "witness": _witness(plain)}, "extended": extended},
+        "bipartite": bipartite,
+        "antipodal": analysis.is_antipodal(code) if binary else None,
+        "inner_radius": analysis.inner_radius(code) if size else None,
+        "distributions": distributions,
+    }, args.json)
     return 0
 
-
-# ---------------------------------------------------------------------------
-# bound
-# ---------------------------------------------------------------------------
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     n, q, lam, r = args.n, args.q, args.lam, args.r
@@ -155,9 +146,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             add("mds_optimal", lower, "q >= 2n: the MDS value is exactly optimal")
         elif q >= n:
             add("mds_conjectured", lower, "q >= n: conjectured optimal, not asserted")
-    payload = {"n": n, "q": q, "lambda": lam, "r": r, "even_weight": args.even_weight, "bounds": rows}
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        _print_json({"n": n, "q": q, "lambda": lam, "r": r, "even_weight": args.even_weight, "bounds": rows})
     else:
         width = max(len(row["formula_id"]) for row in rows)
         print(f"bounds for lambda={lam} r={r} in H({n},{q})" + (" (even-weight)" if args.even_weight else ""))
@@ -170,40 +160,39 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 # construct
 # ---------------------------------------------------------------------------
 
+_N = ("--n", {"type": int, "required": True})
+_Q = ("--q", {"type": int, "required": True})
+_CELL = ("--cell", {"choices": ("c0", "c4"), "default": "c4"})
+_PUNCTURE = ("--puncture", {"action": "store_true", "help": "drop the last coordinate"})
+
+# name -> (help, options, builder); a builder with --cell gives the pair (C0, C4)
+_FAMILIES = {
+    "mds": ("distance-2 MDS code (zero digit sum)", (_N, _Q), lambda a: constructions.mds_code(a.n, a.q)),
+    "hamming": (
+        "q-ary Hamming code of length q+1, or a coset union",
+        (_Q, ("--lambda", {"dest": "lam", "type": int, "default": 1, "help": "number of cosets"})),
+        lambda a: constructions.hamming_coset_union(a.q, a.lam) if a.lam > 1
+        else constructions.hamming_code_q(a.q),
+    ),
+    "lstar": ("the irreducible non-bipartite unitrade L*(n)", (_N,), lambda a: constructions.l_star(a.n)),
+    "diag": ("diagonal unitrade {(x,x)}", (_N,), lambda a: constructions.diagonal_unitrade(a.n)),
+    "concat": ("concatenation of two unitrade files", (("left", {}), ("right", {})),
+               lambda a: constructions.concatenate(_read(a.left), _read(a.right))),
+    "p96a": ("linear 96-word unitrade (cell C4)", (_CELL, _PUNCTURE), lambda a: constructions.packing96_linear()),
+    "p96b": ("Z2Z4-linear 96-word unitrade", (_CELL, _PUNCTURE), lambda a: constructions.packing96_z2z4()),
+    "p96c": ("propelinear 96-word unitrade", (_CELL, _PUNCTURE), lambda a: constructions.packing96_propelinear()),
+    "display96": ("the 96-word unitrade in its classification form", (_PUNCTURE,),
+                  lambda a: constructions.classified_C4_display()),
+}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "mds":
-        code = constructions.mds_code(args.n, args.q)
-    elif name == "hamming":
-        if args.lam > 1:
-            code = constructions.hamming_coset_union(args.q, args.lam)
-        else:
-            code = constructions.hamming_code_q(args.q)
-    elif name == "lstar":
-        code = constructions.l_star(args.n)
-    elif name == "diag":
-        code = constructions.diagonal_unitrade(args.n)
-    elif name == "concat":
-        left = _read_input_code(args.left)
-        right = _read_input_code(args.right)
-        code = constructions.concatenate(left, right)
-    elif name in ("p96a", "p96b", "p96c"):
-        build = {
-            "p96a": constructions.packing96_linear,
-            "p96b": constructions.packing96_z2z4,
-            "p96c": constructions.packing96_propelinear,
-        }[name]
-        c0, c4 = build()
-        code = c0 if args.cell == "c0" else c4
-        if args.puncture:
-            code = constructions.puncture_last(code)
-    elif name == "display96":
-        code = constructions.classified_C4_display()
-        if args.puncture:
-            code = constructions.puncture_last(code)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(name)
-    _emit_code(code, args.out)
+    code = args.build(args)
+    if "cell" in args:
+        code = code[args.cell == "c4"]
+    if getattr(args, "puncture", False):
+        code = constructions.puncture_last(code)
+    _write(code, args.out)
     return 0
 
 
@@ -221,30 +210,26 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
     )
     classes = search.classify_extended_unitrades(cfg)
+    files = [f"class_{i:03d}.code" if args.out else None for i in range(len(classes))]
     manifest = {
         "n": args.n,
         "filters": cfg.filter_key(),
         "class_count": len(classes),
         "cardinalities": [c.cardinality for c in classes],
         "classes": [
-            {
-                "index": i,
-                "cardinality": c.cardinality,
-                "flags": c.flags,
-                "reducibility": c.reducibility_kind,
-                "file": f"class_{i:03d}.code" if args.out else None,
-            }
+            {"index": i, "cardinality": c.cardinality, "flags": c.flags,
+             "reducibility": c.reducibility_kind, "file": files[i]}
             for i, c in enumerate(classes)
         ],
     }
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, c in enumerate(classes):
-            with open(out_dir / f"class_{i:03d}.code", "w", encoding="utf-8") as fh:
-                write_code(c.representative, fh)
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(manifest, sort_keys=True, indent=None if args.json else 2))
+        for c, name in zip(classes, files):
+            _write(c.representative, out_dir / name)
+        with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+            _print_json(manifest, False, fh)
+    _print_json(manifest, args.json)
     return 0
 
 
@@ -253,17 +238,23 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cell_payload(space: Space, cell: frozenset[int]) -> dict:
-    keys = sorted(cell)
-    payload: dict = {"size": len(keys)}
-    if len(keys) <= _WORD_LIST_LIMIT:
-        payload["words"] = [_key_text(space, k) for k in keys]
+    words = [_key_text(space, k) for k in sorted(cell)]
+    if len(words) <= _WORD_LIST_LIMIT:
+        return {"size": len(words), "words": words}
+    return {"size": len(words), "sha256": hashlib.sha256("\n".join(words).encode()).hexdigest()}
+
+
+def _cmd_partition(args: argparse.Namespace) -> int:
+    code = _read(args.file)
+    if args.from_unitrade:
+        part = partitions.partition_from_unitrade(code)
+        if part is None:
+            _print_json({"reconstructed": False})
+            return 1
+    elif args.split:
+        part = partitions.split_distance3_cell(code, _read(args.split))
     else:
-        digest = hashlib.sha256("\n".join(_key_text(space, k) for k in keys).encode()).hexdigest()
-        payload["sha256"] = digest
-    return payload
-
-
-def _partition_payload(part: partitions.Partition) -> dict:
+        part = partitions.distance_partition(code)
     payload: dict = {
         "cell_sizes": list(part.cell_sizes),
         "cells": [_cell_payload(part.space, c) for c in part.cells],
@@ -273,32 +264,33 @@ def _partition_payload(part: partitions.Partition) -> dict:
     if part.completely_regular:
         b, c = part.matrix.intersection_array()
         payload["intersection_array"] = {"b": list(b), "c": list(c)}
-    return payload
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    code = _read_input_code(args.file)
     if args.from_unitrade:
-        part = partitions.partition_from_unitrade(code)
-        if part is None:
-            print(json.dumps({"reconstructed": False}, sort_keys=True))
-            return 1
-        payload = {"reconstructed": True, **_partition_payload(part)}
-    elif args.split:
-        c4 = _read_input_code(args.split)
-        part = partitions.split_distance3_cell(code, c4)
-        payload = _partition_payload(part)
-    else:
-        part = partitions.distance_partition(code)
-        payload = _partition_payload(part)
+        payload["reconstructed"] = True
+    elif not args.split:
         payload["completely_regular"] = part.completely_regular
-    print(json.dumps(payload, sort_keys=True, indent=None if args.json else 2))
+    _print_json(payload, args.json)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _command(sub, name: str, func, help: str, *, file: bool = False, lam: Optional[dict] = None,
+             report: bool = True) -> argparse.ArgumentParser:
+    """A subcommand with the shared options: a code ``file`` (default stdin),
+    ``--lambda``/``--r`` (``lam`` holds the keywords of ``--lambda``) and ``--json``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if file:
+        p.add_argument("file", nargs="?", default=None, help="code file (default: stdin)")
+    if lam is not None:
+        p.add_argument("--lambda", dest="lam", type=int, **lam)
+        p.add_argument("--r", type=int, default=1)
+    if report:
+        p.add_argument("--json", action="store_true", help="JSON report on one line")
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -307,60 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
         "verify, analyze, bound, construct, classify, partition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "verify", _cmd_verify, "check the lambda-fold r-packing property of a code file",
+             file=True, lam={"default": 1})
+    _command(sub, "analyze", _cmd_analyze, "full JSON report: packing, unitrade, distributions",
+             file=True, lam={"default": 2})
 
-    p = sub.add_parser("verify", help="check the lambda-fold r-packing property of a code file")
-    p.add_argument("file", nargs="?", default=None, help="code file (default: stdin)")
-    p.add_argument("--lambda", dest="lam", type=int, default=1)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("analyze", help="full JSON report: packing, unitrade, distributions")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--lambda", dest="lam", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--json", action="store_true", help="compact single-line JSON")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("bound", help="print all applicable upper bounds")
+    p = _command(sub, "bound", _cmd_bound, "print all applicable upper bounds", lam={"required": True})
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
     p.add_argument("--even-weight", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("construct", help="emit a constructed code in the text format")
-    sub_c = p.add_subparsers(dest="name", required=True)
-    c = sub_c.add_parser("mds", help="distance-2 MDS code (zero digit sum)")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--q", type=int, required=True)
-    c = sub_c.add_parser("hamming", help="q-ary Hamming code of length q+1, or a coset union")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--lambda", dest="lam", type=int, default=1, help="number of cosets")
-    c = sub_c.add_parser("lstar", help="the irreducible non-bipartite unitrade L*(n)")
-    c.add_argument("--n", type=int, required=True)
-    c = sub_c.add_parser("diag", help="diagonal unitrade {(x,x)}")
-    c.add_argument("--n", type=int, required=True)
-    c = sub_c.add_parser("concat", help="concatenation of two unitrade files")
-    c.add_argument("left")
-    c.add_argument("right")
-    for tag, note in (
-        ("p96a", "linear 96-word unitrade (cell C4)"),
-        ("p96b", "Z2Z4-linear 96-word unitrade"),
-        ("p96c", "propelinear 96-word unitrade"),
-    ):
-        c = sub_c.add_parser(tag, help=note)
-        c.add_argument("--cell", choices=("c0", "c4"), default="c4")
-        c.add_argument("--puncture", action="store_true", help="drop the last coordinate")
-    c = sub_c.add_parser("display96", help="the 96-word unitrade in its classification form")
-    c.add_argument("--puncture", action="store_true")
-    for c_name, c_parser in sub_c.choices.items():
-        c_parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_construct)
+    p = _command(sub, "construct", _cmd_construct, "emit a constructed code in the text format", report=False)
+    families = p.add_subparsers(dest="name", required=True)
+    for name, (note, options, build) in _FAMILIES.items():
+        c = _command(families, name, _cmd_construct, note, report=False)
+        c.set_defaults(build=build)
+        for flag, kwargs in options:
+            c.add_argument(flag, **kwargs)
+        c.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p = sub.add_parser("classify", help="isomorph-free classification of extended unitrades")
+    p = _command(sub, "classify", _cmd_classify, "isomorph-free classification of extended unitrades")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nonbipartite", action="store_true")
     p.add_argument("--antipodal", action="store_true")
@@ -369,29 +327,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None,
                    help="journal of finished units; a rerun with the same options resumes from it")
     p.add_argument("--out", default=None, help="directory for class files and manifest")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("partition", help="distance partitions and five-cell reconstructions")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--from-unitrade", action="store_true", help="rebuild the five cells from a 96-word unitrade")
-    p.add_argument("--split", default=None, help="file with the distance-3 subcell to split off")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_partition)
-
+    p = _command(sub, "partition", _cmd_partition, "distance partitions and five-cell reconstructions", file=True)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--from-unitrade", action="store_true",
+                      help="rebuild the five cells from a 96-word unitrade")
+    mode.add_argument("--split", default=None, help="file with the distance-3 subcell to split off")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # pragma: no cover
-        return 0
 
 
 if __name__ == "__main__":

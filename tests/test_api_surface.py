@@ -19,6 +19,7 @@ from hampack.analysis import (
     Bipartition,
     CheckResult,
     Reducibility,
+    average_distance,
     distance_data,
     is_antipodal,
     is_bipartite_unitrade,
@@ -35,8 +36,11 @@ from hampack.linalg import (
     MixedMatrix,
     MixedWord,
     PropelinearMap,
+    apply_propelinear,
+    coset_union,
     gf2_rank,
     gf2_span,
+    gray_image,
     group_closure,
 )
 from hampack.partitions import (
@@ -116,6 +120,39 @@ REFUSALS = {
     ),
     "group-closure-empty": (lambda: group_closure([]), "at least one generator"),
     "code-from-no-strings": (lambda: Code.from_strings([], 2), "cannot infer the space"),
+    "binary-matrix-ragged": (lambda: BinaryMatrix((Word.from_string("01", 2), Word.from_string("011", 2))),
+                             "ragged rows: all rows must share one space"),
+    "binary-matrix-empty-space": (lambda: BinaryMatrix(()).space, "empty matrix has no space"),
+    "gf2-span-empty": (lambda: gf2_span([]), "pass the ambient space explicitly"),
+    "gf2-span-ragged": (lambda: gf2_span([Word.from_string("01", 2), Word.from_string("011", 2)]),
+                        "generator outside the ambient space"),
+    "coset-union-repeat": (lambda: coset_union(binary("00", "00"), []),
+                           "coset carrier contains duplicate words"),
+    "mixed-word-add-shapes": (lambda: MixedWord((0,), (1,)) + MixedWord((0, 1), (1,)),
+                              "mixed word shape mismatch"),
+    "mixed-matrix-no-strings": (lambda: MixedMatrix.from_strings([]), "empty mixed matrix"),
+    "gray-image-empty": (lambda: gray_image([]), "Gray image of an empty set"),
+    "propelinear-compose-lengths": (
+        lambda: PropelinearMap.identity(Space(3, 2)).compose(PropelinearMap.identity(Space(4, 2))),
+        "length mismatch in composition",
+    ),
+    "propelinear-apply-lengths": (
+        lambda: apply_propelinear(PropelinearMap.identity(Space(3, 2)), Word(Space(4, 2), 0)),
+        "length mismatch between map and word",
+    ),
+    "partition-q3": (lambda: distance_partition(TERNARY), "implemented for q=2 only"),
+    "partition-from-unitrade-repeat": (
+        lambda: partition_from_unitrade(Code.from_bits(Space(10, 2), [0, 0])),
+        "unitrade input contains duplicate words",
+    ),
+    "intersection-matrix-row-sum": (
+        lambda: IntersectionMatrix(((0, 1), (1, 0))).validate((1, 1), 2),
+        "row 0 sums to 1, degree is 2",
+    ),
+    "reducibility-empty": (lambda: reducibility_certificate(Code(Space(4, 2), [])),
+                           "undefined for the empty unitrade"),
+    "average-distance-empty": (lambda: average_distance(Code(Space(4, 2), []), Word(Space(4, 2), 0)),
+                               "average distance to an empty set"),
 }
 
 

@@ -1,11 +1,19 @@
 """Command-line interface: pipelines, exit codes, reports."""
 
+import argparse
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from hampack import analysis, constructions, search
-from hampack.cli import main
+from hampack.cli import build_parser, main
 from hampack.core import parse_code
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -52,6 +60,17 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["witness"] == "000"
         assert payload["duplicate_words"] == ["000"]
+
+    def test_repeated_words_line(self, capsys, tmp_path):
+        f = tmp_path / "dup.code"
+        f.write_text("2 3\n000\n000\n011\n")
+        rc, out, _ = run(capsys, ["verify", str(f), "--lambda", "1"])
+        assert rc == 1
+        assert out.splitlines() == [
+            "|C|=3 in H(3,2): max coverage 3 at radius 1, witness vertex 001",
+            "the code is NOT a 1-fold 1-packing",
+            "repeated words: 000",
+        ]
 
     def test_usage_error_exit_2(self, capsys):
         rc, _, err = run(capsys, ["verify", "/nonexistent/file.code"])
@@ -151,6 +170,26 @@ class TestAnalyze:
         assert payload["distributions"]["dual_nonnegative"] is True
 
 
+class TestAnalyzeEmpty:
+    @pytest.mark.parametrize("q, n", [(2, 4), (3, 2)])
+    def test_empty_code_report(self, capsys, monkeypatch, q, n):
+        rc, out, err = run(capsys, ["analyze", "--json"], stdin=f"{q} {n}\n", monkeypatch=monkeypatch)
+        assert rc == 0 and err == ""
+        binary = q == 2
+        assert json.loads(out) == {
+            "space": {"n": n, "q": q},
+            "size": 0,
+            "packing": {"lambda": 2, "r": 1, "max_coverage": 0, "witness": None,
+                        "is_lambda_fold": True, "duplicate_words": []},
+            "unitrade": {"plain": {"ok": True, "witness": None},
+                         "extended": {"ok": True, "witness": None} if binary else None},
+            "bipartite": True if binary else None,
+            "antipodal": True if binary else None,
+            "inner_radius": None,
+            "distributions": None,
+        }
+
+
 class TestAnalyzeTernary:
     def test_qary_report_skips_binary_only_sections(self, capsys, tmp_path):
         f = tmp_path / "mds.code"
@@ -239,6 +278,34 @@ class TestPartition:
         rc, _, err = run(capsys, ["partition", str(f), "--from-unitrade"])
         assert rc == 2
 
+    def test_from_unitrade_and_split_exclude_each_other(self, capsys, tmp_path):
+        f = tmp_path / "c4.code"
+        run(capsys, ["construct", "p96a", "--out", str(f)])
+        with pytest.raises(SystemExit) as stop:
+            main(["partition", str(f), "--from-unitrade", "--split", str(tmp_path / "absent.code")])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "--split: not allowed with argument --from-unitrade" in err
+
+
+class TestClosedPipe:
+    # the reader of stdout leaves early: exit 0 with nothing on stderr, for
+    # a write cut off midway (a 7^6-word code) and for one at the last flush
+    @pytest.mark.parametrize("argv, keep", [
+        (["construct", "mds", "--n", "7", "--q", "7"], 10),
+        (["bound", "--n", "9", "--lambda", "2"], 0),
+    ])
+    def test_exit_0_and_quiet(self, argv, keep):
+        # without PYTHONUNBUFFERED: an unbuffered stdout drops a cut write silently
+        env = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.Popen([sys.executable, "-m", "hampack.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+
 
 class TestWordListLimit:
     def test_large_cells_are_digested(self, capsys, tmp_path):
@@ -250,3 +317,66 @@ class TestWordListLimit:
         assert big["size"] == 480 and "sha256" in big and "words" not in big
         small = payload["cells"][0]
         assert small["words"][0] == "0000000000"
+
+
+# every action of every (sub)parser: option strings, dest, default, type,
+# nargs, required, choices; help actions left out
+JSON = ("--json", "json", False, None, 0, False, None)
+OUT = ("--out", "out", None, None, None, False, None)
+R = ("--r", "r", 1, "int", None, False, None)
+FILE = ("", "file", None, None, "?", False, None)
+N = ("--n", "n", None, "int", None, True, None)
+Q = ("--q", "q", None, "int", None, True, None)
+CELL = ("--cell", "cell", "c4", None, None, False, ("c0", "c4"))
+PUNCTURE = ("--puncture", "puncture", False, None, 0, False, None)
+SURFACE = {
+    "": [("", "command", None, None, "A...", True,
+          ("verify", "analyze", "bound", "construct", "classify", "partition"))],
+    "verify": [FILE, ("--lambda", "lam", 1, "int", None, False, None), R, JSON],
+    "analyze": [FILE, ("--lambda", "lam", 2, "int", None, False, None), R, JSON],
+    "bound": [N, ("--q", "q", 2, "int", None, False, None), ("--lambda", "lam", None, "int", None, True, None),
+              R, ("--even-weight", "even_weight", False, None, 0, False, None), JSON],
+    "construct": [("", "name", None, None, "A...", True,
+                   ("mds", "hamming", "lstar", "diag", "concat", "p96a", "p96b", "p96c", "display96"))],
+    "construct mds": [N, Q, OUT],
+    "construct hamming": [Q, ("--lambda", "lam", 1, "int", None, False, None), OUT],
+    "construct lstar": [N, OUT],
+    "construct diag": [N, OUT],
+    "construct concat": [("", "left", None, None, None, True, None),
+                         ("", "right", None, None, None, True, None), OUT],
+    "construct p96a": [CELL, PUNCTURE, OUT],
+    "construct p96b": [CELL, PUNCTURE, OUT],
+    "construct p96c": [CELL, PUNCTURE, OUT],
+    "construct display96": [PUNCTURE, OUT],
+    "classify": [N, ("--nonbipartite", "nonbipartite", False, None, 0, False, None),
+                 ("--antipodal", "antipodal", False, None, 0, False, None),
+                 ("--max-cardinality", "max_cardinality", None, "int", None, False, None),
+                 ("--threads", "threads", 1, "int", None, False, None),
+                 ("--checkpoint", "checkpoint", None, None, None, False, None), OUT, JSON],
+    "partition": [FILE, ("--from-unitrade", "from_unitrade", False, None, 0, False, None),
+                  ("--split", "split", None, None, None, False, None), JSON],
+}
+
+
+def in_order(rows: list) -> list:
+    """Positionals in the order given, then options sorted: only the former is meaningful."""
+    return [r for r in rows if not r[0]] + sorted(r for r in rows if r[0])
+
+
+def surface(parser: argparse.ArgumentParser, path: str = "") -> dict:
+    table, rows = {}, []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        rows.append((" ".join(action.option_strings), action.dest, action.default,
+                     getattr(action.type, "__name__", action.type), action.nargs, action.required,
+                     None if action.choices is None else tuple(action.choices)))
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(surface(sub, f"{path} {name}".strip()))
+    table[path] = in_order(rows)
+    return table
+
+
+def test_parser_surface_is_pinned():
+    assert surface(build_parser()) == {path: in_order(rows) for path, rows in SURFACE.items()}
