@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Code, Space, Word, _ball_keys, _check_lambda, _check_radius, _check_same_space, _code,
@@ -244,11 +244,12 @@ def _ball_members(code: Code) -> dict:
     return balls
 
 
-def _conflict_walk(adj: list[list[int]]):
-    """One depth-first walk of a conflict graph: the components (word
-    indices in discovery order), each word's colour and parent, and the
-    first same-colour edge (None if there is none).  Parents are set
-    once, so that edge closes the odd cycle an early-exit walk finds."""
+def _conflict_walk(adj: Sequence[Iterable[int]]):
+    """One depth-first walk of a graph given by its rows (a conflict graph,
+    or reducibility's coordinate graph): the components (vertices in
+    discovery order), each vertex's colour and parent, and the first
+    same-colour edge (None if there is none).  Parents are set once, so
+    that edge closes the odd cycle an early-exit walk finds."""
     color = [-1] * len(adj)
     parent = [-1] * len(adj)
     components: list[list[int]] = []
@@ -368,33 +369,24 @@ def _project(t_set: Code, coords: tuple[int, ...]) -> Code:
 
 
 def reducibility_certificate(t_set: Code) -> Reducibility:
-    """Certify irreducibility or exhibit a concatenation factorization."""
+    """Certify irreducibility or exhibit a concatenation factorization.
+
+    The coordinate graph joins coordinates a and b when some distance-2
+    pair differs in exactly a and b; its components come from the walk
+    that reads the conflict graph."""
     adj = _unitrade_graph(t_set, True)[0]
     if len(t_set) == 0:
         raise ValueError("reducibility is undefined for the empty unitrade")
-    n = t_set.space.n
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    keys = t_set.keys
+    n, keys = t_set.space.n, t_set.keys
+    joined: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(adj):
         for j in row:
-            diff = keys[i] ^ keys[j]
-            if j > i and diff:  # diff == 0: a repeated word, at distance 0
-                hi = diff.bit_length() - 1
-                lo = (diff ^ (1 << hi)).bit_length() - 1
-                ra, rb = find(n - 1 - hi), find(n - 1 - lo)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for c in range(n):
-        groups.setdefault(find(c), []).append(c)
-    components = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+            if j > i and (diff := keys[i] ^ keys[j]):  # diff == 0: a repeated word, at distance 0
+                a, b = n - diff.bit_length(), n - (diff & -diff).bit_length()
+                joined[a].add(b)
+                joined[b].add(a)
+    # the walk starts at each component's least coordinate, in order
+    components = tuple(tuple(sorted(c)) for c in _conflict_walk(joined)[0])
     if len(components) == 1:
         return Reducibility("irreducible", components)
     # try to factor across every union of components versus the rest

@@ -27,14 +27,13 @@ from functools import cache
 from itertools import product
 from math import isqrt
 
-from .core import Code, Space, Word, _check_lambda, _code, _frozen, _key_of, _symbols_of
+from .core import Code, Space, Word, _check_lambda, _check_same_space, _code, _frozen, _key_of, _symbols_of
 from .linalg import (
     BinaryMatrix,
     MixedMatrix,
     MixedWord,
     PropelinearMap,
     _coset_union,
-    coset_union,
     gf2_span,
     gray_image,
     gray_map,
@@ -182,20 +181,22 @@ def hamming_coset_union(q: int, lam: int, reps: list[Word] | None = None) -> Cod
 
     Default representatives walk the syndrome space in lexicographic
     order.  Each coset of the 1-perfect code meets every radius-1 ball in
-    exactly one word, and ``coset_union`` collapses repeated cosets, so the
-    union of k <= lam distinct cosets covers every vertex exactly k times.
+    exactly one word, so the union of k <= lam distinct cosets covers
+    every vertex exactly k times.  The union skips ``coset_union``'s
+    closure proof: the Hamming code is a kernel, and so a group.
     """
     _check_lambda(lam)
+    code = hamming_code_q(q)
     if lam > q * q:
         raise ValueError(f"coset count {lam} out of range 1..{q * q}")
-    code = hamming_code_q(q)
     if reps is None:
         syndromes = list(product(range(q), repeat=2))[:lam]
-        keys = [_key_of(code.space, (s1, s0) + (0,) * (q - 1)) for s0, s1 in syndromes]
-        return _coset_union(code, keys)
+        return _coset_union(code, [_key_of(code.space, (s1, s0) + (0,) * (q - 1)) for s0, s1 in syndromes])
     if len(reps) != lam:
         raise ValueError(f"expected {lam} representatives, got {len(reps)}")
-    return coset_union(code, reps)
+    for r in reps:
+        _check_same_space(code, r)
+    return _coset_union(code, [r.key for r in reps])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,8 @@ def hamming_coset_union(q: int, lam: int, reps: list[Word] | None = None) -> Cod
 
 def diagonal_unitrade(n: int) -> Code:
     """{(x, x)}: the minimum-cardinality extended unitrade, 2^(n/2) words."""
-    if n % 2 or n < 2:
-        raise ValueError("the diagonal construction needs even n >= 2")
+    if type(n) is not int or n % 2 or n < 2:
+        raise ValueError(f"the diagonal construction needs an even int n >= 2, got n={n!r}")
     half = n // 2
     space = Space(n, 2)
     return _code(space, ((x << half) | x for x in range(1 << half)))
@@ -296,8 +297,8 @@ def packing96_linear() -> tuple[Code, Code]:
     6 listed cosets of the span of the last 4 rows."""
     data = embedded_data()
     c0 = gf2_span(data.gen1)
-    k1 = gf2_span(BinaryMatrix(data.gen1.rows[1:]))
-    c4 = coset_union(k1, list(data.coset_reps_k1))
+    k1 = gf2_span(data.gen1.rows[1:])
+    c4 = _coset_union(k1, [r.key for r in data.coset_reps_k1])
     return c0, c4
 
 
@@ -341,4 +342,4 @@ def classified_C4_display() -> Code:
     of four generators unioned over six translates."""
     data = embedded_data()
     k = gf2_span(data.display_gens)
-    return coset_union(k, list(data.display_translates))
+    return _coset_union(k, [t.key for t in data.display_translates])

@@ -368,8 +368,8 @@ class Code:
     def __init__(self, space: Space, words: Iterable[Word]):
         keys = []
         for w in words:
-            if w.space is not space and w.space != space:
-                raise ValueError(f"word {w} does not live in {space}")
+            if not isinstance(w, Word) or w.space is not space and w.space != space:
+                raise ValueError(f"word {w!r} does not live in {space}")
             keys.append(w.key)
         self.space, self.keys, self._words = space, tuple(sorted(keys)), None
 

@@ -81,15 +81,13 @@ class BinaryMatrix:
         return [tuple(r.symbols[j] for r in self.rows) for j in range(self.space.n)]
 
 
-def _as_rows(gens: BinaryMatrix | Sequence[Word]) -> tuple[Word, ...]:
-    if isinstance(gens, BinaryMatrix):
-        return gens.rows
-    return tuple(gens)
-
-
 def gf2_span(gens: BinaryMatrix | Sequence[Word], space: Space | None = None) -> Code:
     """The 2**rank distinct GF(2) sums of row subsets, multiplicity 1."""
-    rows = _as_rows(gens)
+    if isinstance(gens, BinaryMatrix):
+        rows = gens.rows
+    else:
+        rows = tuple(gens)
+        _check_rows(rows, Word)
     if not rows and space is None:
         raise ValueError("empty generator set: pass the ambient space explicitly")
     space = space if space is not None else rows[0].space
@@ -100,7 +98,7 @@ def gf2_span(gens: BinaryMatrix | Sequence[Word], space: Space | None = None) ->
         if r.space != space:
             raise ValueError("ragged rows: generator outside the ambient space")
         span |= {v ^ r.key for v in span}
-    return Code.from_bits(space, span)
+    return _code(space, span)  # XORs of rows checked to live in the space
 
 
 def gf2_rank(code: Code) -> int:

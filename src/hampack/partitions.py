@@ -61,6 +61,8 @@ class IntersectionMatrix:
 
     def validate(self, cell_sizes: Sequence[int], degree: int) -> None:
         """Consistency: |C_i| s_ij = |C_j| s_ji and rows sum to the degree."""
+        if len(cell_sizes) != self.m:
+            raise ValueError(f"cell sizes {cell_sizes!r} do not match the {self.m} cells of the matrix")
         for i, row in enumerate(self.entries):
             if sum(row) != degree:
                 raise ValueError(f"row {i} sums to {sum(row)}, degree is {degree}")

@@ -60,22 +60,10 @@ zero word, so only translations by members matter (taken in key order),
 and columns are refined word by word, emitting at each step the smallest
 realizable next word.
 
-``max_twofold_packing_size`` and ``max_packing_size`` are independent
-branch-and-bound oracles over raw vertex sets; they certify exact
-maxima either by exhausting the tree or by meeting a proven upper bound
-(sphere-packing / LP), and they share no code with the constructions
-they are used to check.  Vertices are numbered by weight, then in
-``core``'s key order (lexicographic), so the zero word comes first, and
-the balls are ``core``'s ``_ball_keys``.  Translations act transitively
-on H(n, q) and map balls onto balls, and the stabilizer of the zero
-word is transitive on each weight, so every packing has an image whose
-least codeword is the zero word and whose second is the zero word again
-or the first word of some weight; only those are searched.  Codewords
-are placed in nondecreasing order, so once the next candidate is v, a
-vertex whose ball lies below v gains no more coverage and its spare
-room is lost; a node is cut when the room left cannot hold one more
-codeword than the best packing found.  The balls in that order are
-built once per (n, q, r) and kept for a few small spaces.
+``max_twofold_packing_size`` and ``max_packing_size`` are exact
+branch-and-bound oracles that share no code with the constructions they
+check; ``max_packing_size``'s docstring gives the search, its symmetry
+cut and its room bound.
 """
 
 from __future__ import annotations

@@ -203,6 +203,22 @@ def binary_projection(code, coords) -> list:
     return sorted({tuple(s[c] for c in coords) for s in words})
 
 
+def coordinate_components(code) -> tuple:
+    """The components of the graph on a binary code's coordinates that
+    joins the two coordinates of every pair of words at distance 2, over
+    all pairs; each sorted, in order of least coordinate."""
+    n = code.space.n
+    words = [tuple(key >> (n - 1 - i) & 1 for i in range(n)) for key in code.keys]
+    component = {c: frozenset([c]) for c in range(n)}
+    for x, y in combinations(words, 2):
+        differ = [i for i in range(n) if x[i] != y[i]]
+        if len(differ) == 2:
+            joined = component[differ[0]] | component[differ[1]]
+            for c in joined:
+                component[c] = joined
+    return tuple(sorted({tuple(sorted(c)) for c in component.values()}))
+
+
 def pair_distances(code) -> tuple[list, list]:
     """counts[d], the pairs i < j of the code's words (repeats counted) at
     distance d, and far[i], the largest distance from word i to any word

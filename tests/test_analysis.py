@@ -31,8 +31,8 @@ from hampack.analysis import (
 from hampack.core import Code, Space, Word, coverage_multiplicity, hamming_distance, weight
 from hampack.search import SearchConfig, classify_extended_unitrades
 from oracles import (
-    binary_projection, conflict_adjacency, halved_cube_reading, krawtchouk_table, macwilliams_transform,
-    pair_distances,
+    binary_projection, conflict_adjacency, coordinate_components, halved_cube_reading, krawtchouk_table,
+    macwilliams_transform, pair_distances,
 )
 
 
@@ -694,6 +694,28 @@ def reference_samples(all_pairs):
     return plain, extended, others
 
 
+def certificate_samples(reference_samples) -> list:
+    """The extended reference samples, products, and coordinate-shuffled
+    translates of the products, whose components are no longer runs of
+    adjacent coordinates."""
+    rng = random.Random(35)
+    _, extended, _ = reference_samples
+    d2, d4, d6, l6 = (constructions.diagonal_unitrade(2), constructions.diagonal_unitrade(4),
+                      constructions.diagonal_unitrade(6), constructions.l_star(6))
+    products = [constructions.concatenate(d4, d6), constructions.concatenate(l6, d4),
+                constructions.concatenate(d4, d4), constructions.concatenate(l6, d2),
+                constructions.concatenate(constructions.concatenate(d2, d4), d2)]
+    samples = extended + products
+    for t in products:
+        n = t.space.n
+        perm = rng.sample(range(n), n)
+        shift = rng.randrange(1 << n)
+        samples.append(Code.from_bits(t.space, [
+            sum(1 << (n - 1 - perm[i]) for i in range(n) if k >> (n - 1 - i) & 1) ^ shift
+            for k in t.keys]))
+    return samples
+
+
 class TestKeyKernelsAgainstReferences:
     def test_distances(self, reference_samples):
         plain, extended, others = reference_samples
@@ -780,28 +802,18 @@ class TestKeyKernelsAgainstReferences:
                     assert [w.symbols for w in got.words] == binary_projection(code, cut), (code.keys, cut)
 
     def test_certificates_match_symbol_projection(self, reference_samples, monkeypatch):
-        # products, and coordinate-shuffled translates of them, whose
-        # components are no longer runs of adjacent coordinates
-        rng = random.Random(35)
-        _, extended, _ = reference_samples
-        d2, d4, d6, l6 = (constructions.diagonal_unitrade(2), constructions.diagonal_unitrade(4),
-                          constructions.diagonal_unitrade(6), constructions.l_star(6))
-        products = [constructions.concatenate(d4, d6), constructions.concatenate(l6, d4),
-                    constructions.concatenate(d4, d4), constructions.concatenate(l6, d2),
-                    constructions.concatenate(constructions.concatenate(d2, d4), d2)]
-        samples = extended + products
-        for t in products:
-            n = t.space.n
-            perm = rng.sample(range(n), n)
-            shift = rng.randrange(1 << n)
-            samples.append(Code.from_bits(t.space, [
-                sum(1 << (n - 1 - perm[i]) for i in range(n) if k >> (n - 1 - i) & 1) ^ shift
-                for k in t.keys]))
+        samples = certificate_samples(reference_samples)
         got = [reducibility_certificate(t) for t in samples]
         monkeypatch.setattr(analysis, "_project", lambda t, coords: Code(
             Space(len(coords), 2), [Word.from_symbols(s, 2) for s in binary_projection(t, coords)]))
         assert got == [reducibility_certificate(t) for t in samples]
         assert [cert.kind for cert in got].count("factorization") == 12
+
+    def test_coordinate_components_match_brute_force(self, reference_samples):
+        samples = certificate_samples(reference_samples)
+        for t in samples:
+            assert reducibility_certificate(t).coordinate_components == coordinate_components(t), t.keys
+        assert sum(len(coordinate_components(t)) > 1 for t in samples) == 12
 
     def test_dual_distribution_written_out(self, reference_samples):
         # B'_k = sum_i B_i K_k(i) / |C|, with B from all ordered pairs and

@@ -153,6 +153,14 @@ REFUSALS = {
                            "undefined for the empty unitrade"),
     "average-distance-empty": (lambda: average_distance(Code(Space(4, 2), []), Word(Space(4, 2), 0)),
                                "average distance to an empty set"),
+    "coset-union-text-q": (lambda: con.hamming_coset_union("3", 2), "q='3' is not a prime int"),
+    "diagonal-text-n": (lambda: con.diagonal_unitrade("4"), "needs an even int n >= 2, got n='4'"),
+    "code-int-word": (lambda: Code(Space(2, 2), [1]), "word 1 does not live in"),
+    "gf2-span-int-rows": (lambda: gf2_span([1, 2]), r"rows must be a tuple of Words, got \(1, 2\)"),
+    "intersection-matrix-short-sizes": (
+        lambda: IntersectionMatrix(((0, 1), (1, 0))).validate([1], 1),
+        r"cell sizes \[1\] do not match the 2 cells",
+    ),
 }
 
 
