@@ -9,22 +9,24 @@ The central objects being verified:
   * extended 1-perfect unitrades: constant-parity binary sets where the
     balls centered at opposite-parity words meet the set in 0 or 2.
 
-Each property is read once, by exact ball counts over the balls around
-the codewords (``_coverage_counts_union``); a binary ball is the key
-XORed with cached flip masks.  Only a dense q-ary packing (q > 2) is
-still counted over the whole space.  Both unitrade readings count
-radius-1 balls; the extended one reads the counts at the centres of
-opposite parity.  For n >= 5 the extended property
-of a set without repeated words has an equivalent reading inside the
-halved n-cube (degree exactly n/2, no triangles), which the tests use
-as an oracle.
+A packing is read once, by exact ball counts over the balls around the
+codewords (``_coverage_counts_union``, which serves ``verify_packing``
+alone: it keeps one count per centre, where a radius-r member walk
+would keep |C|·|B_r| members); a binary ball is the key XORed with
+cached flip masks.  Only a dense q-ary packing (q > 2) is still counted
+over the whole space.  Both unitrade readings and the structure answers
+below share one cached radius-1 member walk (``_ball_members``), which
+keeps the last set's; the extended reading takes the balls centred at
+the opposite parity.  For n >= 5 the extended property of a set without
+repeated words has an equivalent reading inside the halved n-cube
+(degree exactly n/2, no triangles), which the tests use as an oracle.
 
 The structure answers of a unitrade read one checked conflict graph,
 built and walked once by ``_unitrade_graph``, which keeps the last
-set's: the words that share a radius-1 ball in the walk that checks the
-set, which are the words at distance <= 2.  The extended case needs no
-relation of its own: distances inside a constant-parity set are even,
-so distance <= 2 means distance 0 or 2 there.
+set's: the words that share a radius-1 ball in the same walk that
+checks the set, which are the words at distance <= 2.  The extended
+case needs no relation of its own: distances inside a constant-parity
+set are even, so distance <= 2 means distance 0 or 2 there.
 
 All distributions (distance distribution, MacWilliams transform) are
 computed from integer pair counts and returned as exact rationals, so
@@ -131,10 +133,10 @@ class CheckResult:
         return self.ok
 
 
-def _verdict(t_set: Code, extended: bool, balls: Optional[dict] = None) -> CheckResult:
+def _verdict(t_set: Code, extended: bool) -> CheckResult:
     """Every radius-1 ball (centred off the set's parity, in the extended
-    reading) holds 0 or 2 words; ``balls``, the members of each ball from
-    the walk, saves counting them again."""
+    reading) holds 0 or 2 words, read off the members of each ball in the
+    cached walk that the structure answers share."""
     parity = None
     if extended:
         if t_set.space.q != 2:
@@ -142,8 +144,8 @@ def _verdict(t_set: Code, extended: bool, balls: Optional[dict] = None) -> Check
         parity = {k.bit_count() & 1 for k in t_set.keys}
         if len(parity) > 1:
             raise ValueError("mixed-parity input: not a candidate extended unitrade")
-    held = _coverage_counts_union(t_set, 1).items() if balls is None else zip(balls, map(len, balls.values()))
-    bad = [k for k, v in held if v != 2 and (parity is None or k.bit_count() & 1 not in parity)]
+    bad = [k for k, members in _ball_members(t_set).items()
+           if len(members) != 2 and (parity is None or k.bit_count() & 1 not in parity)]
     return CheckResult(False, _word(t_set.space, min(bad))) if bad else CheckResult(True, None)
 
 
@@ -234,9 +236,11 @@ def _column_counts(keys: Sequence[int], n: int) -> list[int]:
     return [(packed >> b & ones).bit_count() for b in range(n)]
 
 
+@lru_cache(maxsize=1)
 def _ball_members(code: Code) -> dict:
     """The radius-1 ball walk: the members (word indices, increasing) of
-    every ball that meets the code, by centre."""
+    every ball that meets the code, by centre.  The last code's walk is
+    kept, so the check and the graph of one set share it; read-only."""
     space, balls = code.space, {}
     for i, c in enumerate(code.keys):
         for k in _ball_keys(space, c, 1):
@@ -279,16 +283,15 @@ def _unitrade_graph(t_set: Code, extended: bool):
     colours, parents and first clash; shared, so read-only.  A set that is
     not a unitrade raises ``ValueError`` with a witness ball center.
 
-    One ball walk checks the set and gives the rows: two words are within
-    distance 2 exactly when they share a radius-1 ball, and no ball of a
-    checked unitrade holds more than two members."""
-    balls = _ball_members(t_set)
-    res = _verdict(t_set, extended, balls)
+    The cached ball walk that checks the set gives the rows: two words are
+    within distance 2 exactly when they share a radius-1 ball, and no ball
+    of a checked unitrade holds more than two members."""
+    res = _verdict(t_set, extended)
     if not res.ok:
         kind = "an extended" if extended else "a"
         raise ValueError(f"input is not {kind} 1-perfect unitrade; witness ball center {res.witness}")
     rows: list[set[int]] = [set() for _ in t_set.keys]
-    for members in balls.values():
+    for members in _ball_members(t_set).values():
         if len(members) == 2:
             i, j = members
             rows[i].add(j)

@@ -69,6 +69,8 @@ class SpectrumBoundInput:
     num_vertices: int
 
     def __post_init__(self) -> None:
+        if type(self.degree) is not int:
+            raise ValueError(f"degree must be an int, got {self.degree!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         if self.alpha >= self.degree:

@@ -264,9 +264,21 @@ def _add_keys(q: int, a: int | bytes, b: int | bytes) -> int | bytes:
     return a ^ b if q == 2 else bytes((x + y) % q for x, y in zip(a, b))
 
 
-def _check_same_space(x: Word | Code, y: Word) -> None:
-    if x.space is not y.space and x.space != y.space:
-        raise ValueError(f"space mismatch: {x.space} vs {y.space}")
+def _check_same_space(x: Word | Code, y: Word, mismatch: str = "space mismatch") -> None:
+    """Refuse ``y`` unless it is a Word of the space of ``x`` (a Word or a
+    Code).  One space object for both costs one identity test and nothing
+    more, so a non-Word holding that very space passes here."""
+    try:
+        if x.space is y.space:
+            return
+    except AttributeError:
+        pass
+    if not isinstance(y, Word):
+        raise ValueError(f"expected a Word, got {y!r}")
+    if not isinstance(x, (Word, Code)):
+        raise ValueError(f"expected a Word or a Code, got {x!r}")
+    if x.space != y.space:
+        raise ValueError(f"{mismatch}: {x.space} vs {y.space}")
 
 
 def hamming_distance(x: Word, y: Word) -> int:
@@ -366,6 +378,8 @@ class Code:
     __slots__ = ("space", "keys", "_words")
 
     def __init__(self, space: Space, words: Iterable[Word]):
+        if not isinstance(space, Space):
+            raise ValueError(f"space must be a Space, got {space!r}")
         keys = []
         for w in words:
             if not isinstance(w, Word) or w.space is not space and w.space != space:

@@ -232,6 +232,10 @@ def gray_map(w: MixedWord) -> Word:
 
 
 def gray_image(words: Iterable[MixedWord]) -> Code:
+    words = tuple(words)
+    for w in words:
+        if not isinstance(w, MixedWord):
+            raise ValueError(f"expected MixedWords, got {w!r}")
     images = [[b for s in w.z4 for b in GRAY[s]] + list(w.z2) for w in words]
     if not images:
         raise ValueError("cannot take the Gray image of an empty set")
@@ -299,6 +303,8 @@ class PropelinearMap:
 
     @classmethod
     def from_cycles(cls, translation: str, cycles: Sequence[Sequence[int]], n: int) -> "PropelinearMap":
+        if type(n) is not int:
+            raise ValueError(f"n must be an int, got {n!r}")
         perm = list(range(n))
         for cyc in cycles:
             for idx, a in enumerate(cyc):
@@ -312,6 +318,8 @@ class PropelinearMap:
 
     def compose(self, other: "PropelinearMap") -> "PropelinearMap":
         """self after other: (self*other)(x) = self(other(x))."""
+        if not isinstance(other, PropelinearMap):
+            raise ValueError(f"expected a PropelinearMap, got {other!r}")
         n = len(self.permutation)
         if len(other.permutation) != n:
             raise ValueError("length mismatch in composition")
@@ -334,8 +342,7 @@ def _apply(m: PropelinearMap, key: int) -> int:
 
 def apply_propelinear(m: PropelinearMap, x: Word) -> Word:
     """translation + pi(x); an isometry of H(n, 2)."""
-    if x.space is not m.translation.space and x.space != m.translation.space:
-        raise ValueError("length mismatch between map and word")
+    _check_same_space(m.translation, x, "length mismatch between map and word")
     return _word(x.space, _apply(m, x.key))
 
 
@@ -343,12 +350,15 @@ def group_closure(gens: Sequence[PropelinearMap]) -> list[PropelinearMap]:
     """Smallest composition-closed set containing the generators and identity."""
     if not gens:
         raise ValueError("group_closure needs at least one generator to fix the space")
+    for g in gens:
+        if not isinstance(g, PropelinearMap):
+            raise ValueError(f"expected PropelinearMaps, got {g!r}")
     els = _closure([PropelinearMap.identity(gens[0].translation.space)], gens, PropelinearMap.compose)
     return sorted(els, key=lambda m: (m.translation.key, m.permutation))
 
 
 def orbit(gens: Sequence[PropelinearMap], seed: Word) -> Code:
     """Orbit of a word under the group generated by the maps."""
-    if any(g.translation.space != seed.space for g in gens):
-        raise ValueError("length mismatch between map and word")
+    for g in gens:
+        _check_same_space(g.translation, seed, "length mismatch between map and word")
     return _code(seed.space, _closure([seed.key], gens, _apply))

@@ -55,6 +55,12 @@ class IntersectionMatrix:
 
     entries: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        rows = self.entries
+        if type(rows) is not tuple or not all(
+                type(row) is tuple and len(row) == len(rows) and all(type(s) is int for s in row) for row in rows):
+            raise ValueError(f"entries must be a square tuple of int tuples, got {rows!r}")
+
     @property
     def m(self) -> int:
         return len(self.entries)

@@ -348,7 +348,9 @@ class TestComponentsAndReducibility:
 
 class TestOneCheckedGraph:
     @staticmethod
-    def count_kernels(monkeypatch):
+    def count_work(monkeypatch):
+        """Walks are misses of the cached member walk; the union count and
+        the pair pass, which no structure answer should need, are calls."""
         calls = Counter()
 
         def counted(name):
@@ -359,22 +361,26 @@ class TestOneCheckedGraph:
                 return kernel(*args)
             return wrapper
 
-        for name in ("_coverage_counts_union", "_ball_members", "_pair_pass"):
+        for name in ("_coverage_counts_union", "_pair_pass"):
             monkeypatch.setattr(analysis, name, counted(name))
         analysis._unitrade_graph.cache_clear()
+        analysis._ball_members.cache_clear()
         return calls
 
     def test_structure_calls_build_one_graph(self, monkeypatch, pair_z2z4):
-        calls = self.count_kernels(monkeypatch)
+        calls = self.count_work(monkeypatch)
         cell = pair_z2z4[1]
         assert len(cell) == 96 and is_extended_unitrade(cell).ok
+        walk = analysis._ball_members(cell)
+        before = {k: tuple(members) for k, members in walk.items()}
         is_bipartite_unitrade(cell, extended=True)
         primary_components(cell, extended=True)
         reducibility_certificate(cell)
         pair_profile(cell.translate(cell.words[0]))
-        # the caller's own check counts; then one walk checks each set and
-        # gives its graph, and no pass over the pairs is left
-        assert calls == {"_coverage_counts_union": 1, "_ball_members": 2}
+        assert {k: tuple(members) for k, members in walk.items()} == before  # the shared walk is read only
+        # the caller's check walks the cell once and the graph reads that
+        # walk; the translate is walked once; no ball count or pair pass
+        assert not calls and analysis._ball_members.cache_info().misses == 2
         assert not hasattr(analysis, "_conflict_adjacency")
 
     def test_distances_and_inner_radius_share_one_pass(self, pair_z2z4):
@@ -386,12 +392,11 @@ class TestOneCheckedGraph:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_classification_walks_each_set_once(self, monkeypatch):
-        calls = self.count_kernels(monkeypatch)
+        calls = self.count_work(monkeypatch)
         classes = classify_extended_unitrades(SearchConfig(n=8))
-        # 9 sieve-new solutions and 8 representatives; the parent counted
-        # 25 balls and made 17 pair passes
+        # 9 sieve-new solutions and 8 representatives
         assert len(classes) == 8
-        assert calls == {"_ball_members": 17}
+        assert not calls and analysis._ball_members.cache_info().misses == 17
 
     def test_interleaved_sets_keep_their_own_answers(self, pair_z2z4):
         calls = (lambda t: is_bipartite_unitrade(t, extended=True),

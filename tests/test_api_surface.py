@@ -28,9 +28,10 @@ from hampack.analysis import (
     pair_profile,
     reducibility_certificate,
     verify_packing,
+    weight_distribution,
 )
 from hampack.bounds import BoundResult, SpectrumBoundInput, lp_bound
-from hampack.core import Code, Space, Word
+from hampack.core import Code, Space, Word, coverage_multiplicity, hamming_distance
 from hampack.linalg import (
     BinaryMatrix,
     MixedMatrix,
@@ -41,7 +42,9 @@ from hampack.linalg import (
     gf2_rank,
     gf2_span,
     gray_image,
+    gray_map,
     group_closure,
+    orbit,
 )
 from hampack.partitions import (
     IntersectionMatrix,
@@ -52,6 +55,7 @@ from hampack.partitions import (
 from hampack.search import SearchConfig, canonical_form, classify_extended_unitrades
 
 TERNARY = Code.from_strings(["012", "120"], 3)
+WORD = Word(Space(3, 2), 0)
 
 
 def binary(*texts: str) -> Code:
@@ -161,6 +165,41 @@ REFUSALS = {
         lambda: IntersectionMatrix(((0, 1), (1, 0))).validate([1], 1),
         r"cell sizes \[1\] do not match the 2 cells",
     ),
+    # a text where a Word belongs
+    "distance-text-word": (lambda: hamming_distance(WORD, "000"), "expected a Word, got '000'"),
+    "distance-text-first-word": (lambda: hamming_distance("000", WORD), "expected a Word or a Code, got '000'"),
+    "coverage-text-word": (lambda: coverage_multiplicity(binary("000"), "000", 1), "expected a Word, got '000'"),
+    "weights-text-word": (lambda: weight_distribution(binary("000"), "000"), "expected a Word, got '000'"),
+    "average-distance-text-word": (lambda: average_distance(binary("000"), "000"), "expected a Word, got '000'"),
+    "distance-data-text-word": (lambda: distance_data(binary("000"), "000"), "expected a Word, got '000'"),
+    "translate-text-word": (lambda: binary("000").translate("000"), "expected a Word, got '000'"),
+    "word-less-than-text": (lambda: WORD < "000", "expected a Word, got '000'"),
+    "word-at-most-text": (lambda: WORD <= "000", "expected a Word, got '000'"),
+    "word-plus-text": (lambda: WORD + "000", "expected a Word, got '000'"),
+    "coset-union-text-rep": (lambda: coset_union(con.hamming_code_q(3), ["0000"]), "expected a Word, got '0000'"),
+    "hamming-coset-union-text-rep": (lambda: con.hamming_coset_union(3, 1, ["0000"]),
+                                     "expected a Word, got '0000'"),
+    "hamming-coset-union-no-reps": (lambda: con.hamming_coset_union(3, 2, (None, None)),
+                                    "expected a Word, got None"),
+    "propelinear-apply-text": (lambda: apply_propelinear(PropelinearMap.identity(Space(3, 2)), "000"),
+                               "expected a Word, got '000'"),
+    "orbit-text-seed": (lambda: orbit([PropelinearMap.identity(Space(3, 2))], "000"),
+                        "expected a Word, got '000'"),
+    # other inputs of the wrong kind
+    "code-text-space": (lambda: Code("x", []), "space must be a Space, got 'x'"),
+    "intersection-matrix-ragged": (lambda: IntersectionMatrix(((0, 1), (1,))),
+                                   r"entries must be a square tuple of int tuples, got \(\(0, 1\), \(1,\)\)"),
+    "intersection-matrix-text": (lambda: IntersectionMatrix("ab"),
+                                 "entries must be a square tuple of int tuples, got 'ab'"),
+    "intersection-matrix-float-entry": (lambda: IntersectionMatrix(((1.0,),)),
+                                        "entries must be a square tuple of int tuples"),
+    "propelinear-compose-text": (lambda: PropelinearMap.identity(Space(3, 2)).compose("x"),
+                                 "expected a PropelinearMap, got 'x'"),
+    "group-closure-text": (lambda: group_closure(["x"]), "expected PropelinearMaps, got 'x'"),
+    "gray-map-text": (lambda: gray_map("x"), "expected MixedWords, got 'x'"),
+    "propelinear-cycles-text-n": (lambda: PropelinearMap.from_cycles("000", [[0, 1]], "3"),
+                                  "n must be an int, got '3'"),
+    "spectrum-text-degree": (lambda: SpectrumBoundInput("3", Fraction(1), 1, 8), "degree must be an int, got '3'"),
 }
 
 

@@ -14,7 +14,7 @@ from hampack.analysis import (
     verify_packing,
 )
 from hampack.core import Code, Space, Word, hamming_distance, weight
-from hampack.linalg import gf2_rank
+from hampack.linalg import BinaryMatrix, MixedMatrix, gf2_rank
 from oracles import radius1_counts, radius1_coverage
 
 
@@ -36,6 +36,31 @@ class TestEmbeddedData:
         assert (data.check2.binary_cols, data.check2.quaternary_cols) == (4, 3)
         assert (data.gen3.binary_cols, data.gen3.quaternary_cols) == (2, 4)
         assert (data.check3.binary_cols, data.check3.quaternary_cols) == (2, 4)
+
+    @staticmethod
+    def corrupted(**fields) -> con.EmbeddedData:
+        data = con.embedded_data()
+        values = {name: getattr(data, name) for name in con.EmbeddedData.__annotations__}
+        return con.EmbeddedData(**{**values, **fields})
+
+    def test_each_self_check_refuses_its_corruption(self):
+        data = con.embedded_data()
+        g2, c1 = data.gen2, data.check1
+        swapped = MixedMatrix(g2.binary_cols, g2.quaternary_cols, (g2.rows[1], g2.rows[0]) + g2.rows[2:])
+        flipped = BinaryMatrix((Word(c1.space, c1.rows[0].key ^ 1),) + c1.rows[1:])
+        padded = BinaryMatrix(c1.rows + (c1.space.zero(),))  # still orthogonal, one entry more per column
+        for fields, message in (({"gen2": swapped}, "Gray image of 1010|202 is not 0011111100"),
+                                ({"check1": flipped}, "generator and check rows not orthogonal"),
+                                ({"check1": padded}, "check columns are not a permutation of generator columns")):
+            with pytest.raises(RuntimeError, match=f"embedded data corrupt: {message}"):
+                con._self_check(self.corrupted(**fields))
+
+    def test_z2z4_pair_refuses_a_module_of_the_wrong_size(self, monkeypatch):
+        rows = MixedMatrix.from_strings(["11|2222", "10|0000", "01|0000"])  # the last two span 4 words
+        data = self.corrupted(gen3=rows)
+        monkeypatch.setattr(con, "embedded_data", lambda: data)
+        with pytest.raises(RuntimeError, match="the two-row module must have 16 elements"):
+            con.packing96_z2z4()
 
     def test_duality_of_mixed_matrices(self):
         # inner product 2*(z2 . z2) + (z4 . z4) mod 4 vanishes pairwise
