@@ -266,10 +266,10 @@ def _add_keys(q: int, a: int | bytes, b: int | bytes) -> int | bytes:
 
 def _check_same_space(x: Word | Code, y: Word, mismatch: str = "space mismatch") -> None:
     """Refuse ``y`` unless it is a Word of the space of ``x`` (a Word or a
-    Code).  One space object for both costs one identity test and nothing
-    more, so a non-Word holding that very space passes here."""
+    Code).  A Word of the very space object of ``x`` costs one class test
+    and one identity test."""
     try:
-        if x.space is y.space:
+        if y.__class__ is Word and x.space is y.space:
             return
     except AttributeError:
         pass

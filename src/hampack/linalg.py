@@ -359,6 +359,8 @@ def group_closure(gens: Sequence[PropelinearMap]) -> list[PropelinearMap]:
 
 def orbit(gens: Sequence[PropelinearMap], seed: Word) -> Code:
     """Orbit of a word under the group generated by the maps."""
+    if not isinstance(seed, Word):
+        raise ValueError(f"expected a Word, got {seed!r}")
     for g in gens:
         _check_same_space(g.translation, seed, "length mismatch between map and word")
     return _code(seed.space, _closure([seed.key], gens, _apply))

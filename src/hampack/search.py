@@ -58,7 +58,10 @@ minimum of the sorted word list over the group, computed by branch and
 bound over ordered column partitions: the minimum always starts with the
 zero word, so only translations by members matter (taken in key order),
 and columns are refined word by word, emitting at each step the smallest
-realizable next word.
+realizable next word.  A node whose blocks are all single columns fixes
+the permutation.  It is finished from two half-word lookup tables of that
+permutation, built by the helper that also builds the seed group's
+tables; they give both the node's form and, at a tie, the automorphism.
 
 ``max_twofold_packing_size`` and ``max_packing_size`` are exact
 branch-and-bound oracles that share no code with the constructions they
@@ -91,19 +94,34 @@ _MIN_N, _MAX_N = 4, 12
 # canonical forms and equivalence
 # ---------------------------------------------------------------------------
 
+def _bit_lookup(bit_img: Sequence[int]) -> list[int]:
+    """Image of every key on len(bit_img) bits, bit b going to bit_img[b]."""
+    table = [0] * (1 << len(bit_img))
+    for key in range(1, len(table)):
+        low = key & -key
+        table[key] = table[key ^ low] | bit_img[low.bit_length() - 1]
+    return table
+
+
 def _canonical_search(
     keys: Sequence[int], n: int, target: Optional[tuple[int, ...]] = None,
 ) -> tuple[tuple[int, ...], int]:
     """Exact lex-min of the sorted key list over translations x permutations,
     and the number of translates whose tree was searched.
 
-    A leaf is a translate plus ordered column blocks on which every word
-    is constant.  Two leaves that reach the incumbent form give an
-    automorphism of the set (McKay, "Practical graph isomorphism", 1981);
-    its orbits are folded into a union-find over the set.  Translates in
-    one orbit of the automorphism group give the same candidate forms, so
-    a translate whose orbit holds a searched one is skipped exactly, and
-    a tree is left as soon as its own translate joins such an orbit.
+    A leaf is a translate plus ordered column blocks that fix the form:
+    every word is placed and constant on each block, or every block is a
+    single column, so that the permutation is fixed.  A leaf is finished
+    from two half-word lookup tables of its permutation, built by
+    ``_bit_lookup`` (as ``_SeedGroup`` builds its tables): they give every
+    key's value at the leaf, hence its form, with no further refinement.  Two leaves that reach the
+    incumbent form give an automorphism of the set (McKay, "Practical
+    graph isomorphism", 1981), which maps each key to the key of equal
+    value at the incumbent; its orbits are folded into a union-find over
+    the set.  Translates in one orbit of the automorphism group give the
+    same candidate forms, so a translate whose orbit holds a searched one
+    is skipped exactly, and a tree is left as soon as its own translate
+    joins such an orbit.
 
     Translates are searched in key order.  ``target``, the form of some
     set, only changes the cost: translates whose weight profile is the
@@ -116,9 +134,10 @@ def _canonical_search(
         return (), 0
     key_set = set(keys)
     full = (1 << n) - 1
+    half, low = n // 2, (1 << n // 2) - 1
     best: Optional[list[int]] = None
-    best_columns: list[int] = []
-    best_t = t = 0  # t: the translate whose tree is being searched
+    best_keys: dict[int, int] = {}  # the incumbent leaf's value of each key -> the key
+    t = 0  # the translate whose tree is being searched
     parent = {k: k for k in key_set}
     searched_roots: set[int] = set()  # orbits holding a fully searched translate
     orbits = len(key_set)
@@ -129,36 +148,29 @@ def _canonical_search(
             parent[x] = x = parent[parent[x]]
         return x
 
-    def columns(blocks: tuple[int, ...]) -> list[int]:
-        """Column bit positions in output order, most significant first."""
-        return [b for mask in blocks for b in range(n - 1, -1, -1) if mask >> b & 1]
-
-    def leaf(blocks: tuple[int, ...], cand: list[int]) -> None:
+    def leaf(blocks: tuple[int, ...]) -> None:
         """Take a better leaf as incumbent, or fold the automorphism that
-        maps a tied leaf onto the incumbent into the orbits."""
-        nonlocal best, best_columns, best_t, orbits, stop, met
+        maps a tied leaf onto the incumbent into the orbits: it maps each
+        key to the key of equal value at the incumbent."""
+        nonlocal best, best_keys, orbits, stop, met
+        bit_img = [0] * n
+        for d, c in enumerate(b for mask in blocks for b in range(n - 1, -1, -1) if mask >> b & 1):
+            bit_img[c] = 1 << (n - 1 - d)
+        hi, lo = _bit_lookup(bit_img[half:]), _bit_lookup(bit_img[:half])
+        shift = hi[t >> half] | lo[t & low]  # P(x ^ t) = P(x) ^ P(t) for the leaf's permutation P
+        keys_of = {(hi[x >> half] | lo[x & low]) ^ shift: x for x in key_set}
+        if len(keys_of) != len(key_set):
+            raise AssertionError("the leaf's tables do not map the set one to one")
+        cand = sorted(keys_of)
         if best is None or cand < best:
-            best, best_columns, best_t = cand, columns(blocks), t
+            best, best_keys = cand, keys_of
             if target is not None and tuple(cand) == target:
                 stop = met = True
             return
         if cand != best or orbits == 1:  # one orbit: nothing left to skip
             return
-        bit_img = [0] * n
-        for c, d in zip(columns(blocks), best_columns):
-            bit_img[c] = 1 << d
-        image = []
-        for x in key_set:
-            y, z = x ^ t, best_t
-            while y:
-                low = y & -y
-                z ^= bit_img[low.bit_length() - 1]
-                y ^= low
-            image.append((x, z))
-        if {z for _, z in image} != key_set:
-            raise AssertionError("tied leaves do not give an automorphism of the set")
-        for x, z in image:
-            rx, rz = find(x), find(z)
+        for v, x in keys_of.items():
+            rx, rz = find(x), find(best_keys[v])
             if rx != rz:
                 parent[rz] = rx
                 orbits -= 1
@@ -203,21 +215,19 @@ def _canonical_search(
             if best is not None and emitted > best[:depth]:
                 continue
             remaining = remaining - {taken}
-            if not remaining:
-                leaf(blocks, list(emitted))
-            elif all(m.bit_count() == 1 for m in blocks):
-                # permutation fully determined: finish in one step
-                leaf(blocks, emitted + sorted(val_and_refinement(w, blocks)[0] for w in remaining))
-            else:
-                lo, options = None, []
-                for w in remaining:
-                    v, refined = val_and_refinement(w, blocks)
-                    if lo is None or v < lo:
-                        lo, options = v, [(w, refined)]
-                    elif v == lo:
-                        options.append((w, refined))
-                emitted.append(lo)
-                stack.extend((refined, remaining, w, depth + 1) for w, refined in reversed(options))
+            if not remaining or all(m.bit_count() == 1 for m in blocks):
+                # every word placed, or the permutation fully determined
+                leaf(blocks)
+                continue
+            lo, options = None, []
+            for w in remaining:
+                v, refined = val_and_refinement(w, blocks)
+                if lo is None or v < lo:
+                    lo, options = v, [(w, refined)]
+                elif v == lo:
+                    options.append((w, refined))
+            emitted.append(lo)
+            stack.extend((refined, remaining, w, depth + 1) for w, refined in reversed(options))
         searched_roots.add(find(t))
     assert best is not None
     return tuple(best), searched
@@ -629,15 +639,6 @@ def has_constant_weight_translate(t_set: Code) -> bool:
             return False
         v = (v - 1) & varying  # the next submask of the varying columns
     return True
-
-
-def _bit_lookup(bit_img: Sequence[int]) -> list[int]:
-    """Image of every key on len(bit_img) bits, bit b going to bit_img[b]."""
-    table = [0] * (1 << len(bit_img))
-    for key in range(1, len(table)):
-        low = key & -key
-        table[key] = table[key ^ low] | bit_img[low.bit_length() - 1]
-    return table
 
 
 class _SeedGroup:

@@ -185,6 +185,14 @@ REFUSALS = {
                                "expected a Word, got '000'"),
     "orbit-text-seed": (lambda: orbit([PropelinearMap.identity(Space(3, 2))], "000"),
                         "expected a Word, got '000'"),
+    "orbit-no-generators-text-seed": (lambda: orbit([], "x"), "expected a Word, got 'x'"),
+    # a Code of the very same space object where a Word belongs
+    "distance-code-word": (lambda: hamming_distance(WORD, Code(WORD.space, [])),
+                           r"expected a Word, got Code\(n=3, q=2, size=0\)"),
+    "coverage-code-word": (lambda: coverage_multiplicity(Code(WORD.space, []), Code(WORD.space, []), 1),
+                           r"expected a Word, got Code\(n=3, q=2, size=0\)"),
+    "translate-code": (lambda: Code(WORD.space, []).translate(Code(WORD.space, [])),
+                       r"expected a Word, got Code\(n=3, q=2, size=0\)"),
     # other inputs of the wrong kind
     "code-text-space": (lambda: Code("x", []), "space must be a Space, got 'x'"),
     "intersection-matrix-ragged": (lambda: IntersectionMatrix(((0, 1), (1,))),

@@ -231,6 +231,40 @@ class TestCanonicalForm:
             form = canonical_form(Code.from_bits(Space(6, 2), keys))
             assert list(form.keys) == brute_force_form(keys, 6), sorted(keys)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_brute_force_on_every_set_of_the_shortest_lengths(self, n):
+        # n = 1 leaves the low half-word table a single entry
+        for size in range(1, (1 << n) + 1):
+            for keys in combinations(range(1 << n), size):
+                form = canonical_form(Code.from_bits(Space(n, 2), keys))
+                assert list(form.keys) == brute_force_form(list(keys), n), keys
+
+    @pytest.mark.slow
+    def test_matches_brute_force_at_length_7(self):
+        # all 7! * 2^7 isometries: seeded random sets and one linear span
+        rng = random.Random(53)
+        sets = [rng.sample(range(128), rng.randrange(5, 11)) for _ in range(3)]
+        sets.append(sorted(span(rng.sample(range(1, 128), 3))))
+        for keys in sets:
+            form = canonical_form(Code.from_bits(Space(7, 2), keys))
+            assert list(form.keys) == brute_force_form(keys, 7), sorted(keys)
+
+    @pytest.mark.parametrize("n", [7, 9, 11, 12])
+    def test_invariant_under_random_isometries_at_unequal_and_wide_halves(self, n):
+        # odd n splits a key into halves of unequal width
+        rng = random.Random(54 + n)
+        sets = [rng.sample(range(1 << n), rng.randrange(2, 25)) for _ in range(6)]
+        gens = rng.sample(range(1, 1 << n), 4)
+        sets.append(sorted(span(gens)))
+        shifts = rng.sample(range(1 << n), 3)
+        sets.append(sorted({x ^ s for x in span(gens[:3]) for s in shifts}))
+        for keys in sets:
+            code = Code.from_bits(Space(n, 2), keys)
+            form = canonical_form(code)
+            assert form.keys[0] == 0 and list(form.keys) <= sorted(code.keys)
+            for _ in range(3):
+                assert canonical_form(random_isometry(rng, code)) == form, sorted(keys)
+
     def test_translates_searched(self, pair_linear):
         # automorphisms found in the first two translates join every word
         # of the linear C4 cell and of its C0 code into one orbit
@@ -240,6 +274,19 @@ class TestCanonicalForm:
             assert count == searched
             assert 8 * count <= len(t)
             assert list(form) == [w.key for w in canonical_form(t).words]
+
+    def test_leaves_per_form(self, pair_linear, monkeypatch):
+        # each leaf builds the two half-word tables of its permutation once,
+        # so the table builds pin the leaves of the search tree
+        c0, c4 = pair_linear
+        classes = [cl.representative for cl in classify_extended_unitrades(SearchConfig(n=8))]
+        cases = [(c4, 22), (c0, 721), (con.l_star(10), 33)]
+        cases += zip(classes, (25, 18, 41, 18, 25, 386, 37, 25), strict=True)
+        tables = count_calls(monkeypatch, search, "_bit_lookup")
+        for t, leaves in cases:
+            tables.clear()
+            _canonical_search(t.keys, t.space.n)
+            assert len(tables) == 2 * leaves, len(t)
 
     def test_hint_returns_the_plain_form(self):
         # every equal-size pair of the oracle sets and their images, both
